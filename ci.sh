@@ -11,6 +11,11 @@
 #   3. cargo test -q                          the full suite: unit tests,
 #                                             doctests, property suites, and
 #                                             the root integration tests
+#   3b. perfbench build + unit tests          perfbench is its own workspace,
+#                                             so steps 2-3 never compile it:
+#                                             build it and run its unit tests
+#                                             so an API change that breaks the
+#                                             benchmark fails here
 #   4. fault-injection smoke                  the resilience suite re-run with
 #                                             a dimension killed from the
 #                                             environment (SMASH_FAILPOINTS)
@@ -69,6 +74,9 @@ cargo build --release --offline --workspace --all-targets
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
+
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-injection smoke (SMASH_FAILPOINTS=dimension/whois=panic)"
 SMASH_FAILPOINTS=dimension/whois=panic cargo test -q --offline --test fault_injection

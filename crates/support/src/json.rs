@@ -23,6 +23,7 @@
 //! assert_eq!(back, p);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -226,16 +227,52 @@ impl fmt::Display for Json {
 
 // ---------------------------------------------------------------- parser
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Deepest nesting of arrays and objects the parser accepts. The
+/// grammar is recursive, so without a bound one line of `[` bytes
+/// overflows the stack of whatever thread parses it; 128 levels is far
+/// beyond any document this workspace writes.
+pub const MAX_DEPTH: usize = 128;
+
+/// A cursor over JSON text: the one grammar behind both [`parse`] (which
+/// builds a [`Json`] tree) and callers that decode a fixed shape
+/// straight into their own types, skipping members they do not need.
+///
+/// Every method consumes leading whitespace, reads exactly one token or
+/// value, and applies the same checks as [`parse`]: strings reject
+/// unescaped control characters, bad escapes and lone surrogates;
+/// containers nest at most [`MAX_DEPTH`] deep. Strings are scanned run
+/// by run, so parsing is linear in the input.
+///
+/// ```
+/// use smash_support::json::Scanner;
+///
+/// let mut s = Scanner::new(r#"{"id": 7, "tags": ["x", {"y": null}]}"#);
+/// let mut id = None;
+/// s.object(|s, key| {
+///     if key == "id" {
+///         id = Some(s.number()?);
+///         Ok(())
+///     } else {
+///         s.skip_value()
+///     }
+/// })
+/// .unwrap();
+/// s.finish().unwrap();
+/// assert_eq!(id, Some(smash_support::json::Json::UInt(7)));
+/// ```
+pub struct Scanner<'a> {
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
         Self {
-            bytes: s.as_bytes(),
+            src,
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -244,7 +281,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -254,7 +291,26 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The unread input.
+    fn rest(&self) -> &'a [u8] {
+        self.src.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    /// The input from `start` up to the cursor.
+    fn since(&self, start: usize) -> &'a str {
+        // lint:allow(index): the cursor only rests on char boundaries: it steps over ASCII bytes and over plain runs, which end before an ASCII byte or at the end
+        &self.src[start..self.pos]
+    }
+
+    /// The first byte of the next token after whitespace, without
+    /// consuming it (`None` at end of input). Callers use it to pick a
+    /// reader: `"` a string, `-` or a digit a number, `{` an object.
+    pub fn peek_token(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.peek()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -267,7 +323,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -275,127 +331,227 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Checks that only whitespace remains.
+    ///
+    /// # Errors
+    ///
+    /// Fails on trailing characters.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
-        match self.peek() {
+        if self.pos != self.src.len() {
+            return self.fail("trailing characters");
+        }
+        Ok(())
+    }
+
+    /// Reads one value into a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] describing the first syntax violation.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek_token() {
             Some(b'n') => self.eat_literal("null", Json::Null),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|s| {
+                    items.push(s.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|s, key| {
+                    fields.push((key.into_owned(), s.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => self.fail(&format!("unexpected byte `{}`", b as char)),
             None => self.fail("unexpected end of input"),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// Reads and discards one value, with every check [`value`](Self::value)
+    /// makes but without building a tree or copying a string.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] describing the first syntax violation.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek_token() {
+            Some(b'"') => {
+                self.eat(b'"')?;
+                self.string_tail(None)
+            }
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'{') => self.object(|s, _| s.skip_value()),
+            _ => self.value().map(drop),
+        }
+    }
+
+    fn enter(&mut self, open: u8) -> Result<(), JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        self.eat(open)?;
+        if self.depth >= MAX_DEPTH {
+            return self.fail(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Reads one array, calling `item` once per element; `item` must
+    /// consume exactly that element.
+    fn array<F>(&mut self, mut item: F) -> Result<(), JsonError>
+    where
+        F: FnMut(&mut Self) -> Result<(), JsonError>,
+    {
+        self.enter(b'[')?;
+        if self.peek_token() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
+            item(self)?;
+            match self.peek_token() {
+                Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return self.fail("expected `,` or `]`"),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+    /// Reads one object, calling `member(self, key)` once per member in
+    /// input order (duplicate keys included); `member` must consume
+    /// exactly that member's value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax violation, or the first error `member`
+    /// returns.
+    pub fn object<F>(&mut self, mut member: F) -> Result<(), JsonError>
+    where
+        F: FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    {
+        self.enter(b'{')?;
+        if self.peek_token() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
+            member(self, key)?;
+            match self.peek_token() {
+                Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return self.fail("expected `,` or `}`"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads one string. A string without escapes is borrowed from the
+    /// input; only escaped strings are copied.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-string, an unterminated string, an unescaped
+    /// control character, a bad escape or a lone surrogate.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            let s = self.since(start);
+            self.pos += 1;
+            return Ok(Cow::Borrowed(s));
+        }
+        let mut out = self.since(start).to_owned();
+        self.string_tail(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Advances over the run of bytes that need no attention: everything
+    /// but `"`, `\` and control bytes. UTF-8 continuation bytes are
+    /// ≥ 0x80, so the run always ends on a char boundary.
+    fn skip_plain(&mut self) {
+        let rest = self.rest();
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Scans the rest of a string whose opening quote is consumed,
+    /// appending its decoded text to `out` when one is given.
+    fn string_tail(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
+            let start = self.pos;
+            self.skip_plain();
+            if let Some(o) = out.as_deref_mut() {
+                o.push_str(self.since(start));
+            }
             match self.peek() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let c = self.unicode_escape()?;
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return self.fail("bad escape"),
+                    let c = self.escape()?;
+                    if let Some(o) = out.as_deref_mut() {
+                        o.push(c);
                     }
-                    self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .expect("peek() saw a byte, so the remainder is non-empty");
-                    if (c as u32) < 0x20 {
-                        return self.fail("unescaped control character");
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return self.fail("unescaped control character"),
             }
         }
     }
 
+    /// Decodes one escape sequence whose backslash is consumed.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return self.fail("bad escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let hex = self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .and_then(|h| std::str::from_utf8(h).ok())
             .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
@@ -408,9 +564,8 @@ impl<'a> Parser<'a> {
         let hi = self.hex4()?;
         if (0xD800..0xDC00).contains(&hi) {
             // Surrogate pair: expect \uXXXX low surrogate.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
-            {
+            let bytes = self.src.as_bytes();
+            if bytes.get(self.pos) == Some(&b'\\') && bytes.get(self.pos + 1) == Some(&b'u') {
                 self.pos += 2;
                 let lo = self.hex4()?;
                 if !(0xDC00..0xE000).contains(&lo) {
@@ -424,7 +579,15 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| JsonError("bad \\u escape".into()))
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Reads one number as [`Json::UInt`] (non-negative integers that fit
+    /// `u64`), [`Json::Int`] (negative integers that fit `i64`, and `-0`)
+    /// or [`Json::Float`] (everything else).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the next token is not a number.
+    pub fn number(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -455,8 +618,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number lexeme is ASCII digits, sign, dot, exponent");
+        let text = self.since(start);
         if integral {
             if let Some(stripped) = text.strip_prefix('-') {
                 if stripped != "0" {
@@ -483,12 +645,9 @@ impl<'a> Parser<'a> {
 ///
 /// Returns a [`JsonError`] describing the first syntax violation.
 pub fn parse(s: &str) -> Result<Json, JsonError> {
-    let mut p = Parser::new(s);
+    let mut p = Scanner::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.fail("trailing characters");
-    }
+    p.finish()?;
     Ok(v)
 }
 
@@ -1162,6 +1321,97 @@ mod tests {
         let pretty = to_string_pretty(&v);
         assert!(pretty.contains('\n'));
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = parse(&deep).unwrap_err();
+        assert!(e.0.contains("nesting deeper than 128"), "got: {e}");
+        // Far past the limit, in arrays and objects alike, and through
+        // the tree-free skip: an error, never a stack overflow.
+        let hostile = format!("{{\"x\":{}", "[".repeat(10_000));
+        assert!(parse(&hostile).is_err());
+        assert!(parse(&"{\"a\":".repeat(10_000)).is_err());
+        let mut s = Scanner::new(&hostile);
+        assert!(s.skip_value().is_err());
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "wall-clock bound, meaningless under an interpreter")]
+    fn string_scan_is_linear() {
+        // A quadratic scan takes hours on these inputs even in release;
+        // a linear one takes well under a second in debug.
+        let start = std::time::Instant::now();
+        let long = format!("\"{}\"", "a".repeat(8 << 20));
+        assert_eq!(parse(&long).unwrap().as_str().map(str::len), Some(8 << 20));
+        let mut obj = String::from("{");
+        let mut i = 0;
+        while obj.len() < 4 << 20 {
+            obj.push_str(&format!("\"k{i}\":\"v\\u00e9{i}\","));
+            i += 1;
+        }
+        obj.push_str("\"end\":\"\"}");
+        assert_eq!(parse(&obj).unwrap().as_obj().map(<[_]>::len), Some(i + 1));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed.as_secs() < 20,
+            "8 MiB + 4 MiB parse took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn scanner_borrows_plain_strings_and_skips_members() {
+        let mut s =
+            Scanner::new(r#" {"a": "plain", "b": "esc\u0041", "c": [1, {"d": "x"}], "e": -0} "#);
+        let mut seen = Vec::new();
+        s.object(|s, key| {
+            match key.as_ref() {
+                "a" | "b" => {
+                    let v = s.string()?;
+                    seen.push((
+                        key.into_owned(),
+                        matches!(v, Cow::Borrowed(_)),
+                        v.into_owned(),
+                    ));
+                }
+                "e" => assert_eq!(s.number()?, Json::Int(0)),
+                _ => s.skip_value()?,
+            }
+            Ok(())
+        })
+        .unwrap();
+        s.finish().unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                ("a".to_owned(), true, "plain".to_owned()),
+                ("b".to_owned(), false, "escA".to_owned()),
+            ]
+        );
+    }
+
+    #[test]
+    fn skip_value_rejects_what_parse_rejects() {
+        for src in [
+            "\"\\q\"",
+            "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
+            "\"a\u{1}b\"",
+            "\"open",
+            "[1,]",
+            "{\"a\" 1}",
+            "-",
+            "1e",
+            "tru",
+            "[1, 2.5, {\"b\": null}, \"\\ud83e\\udd80\"]",
+        ] {
+            let mut s = Scanner::new(src);
+            let skipped = s.skip_value().and_then(|()| s.finish());
+            assert_eq!(skipped.is_ok(), parse(src).is_ok(), "src = {src}");
+        }
     }
 
     #[test]

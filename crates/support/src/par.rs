@@ -36,8 +36,8 @@ pub fn current_num_threads() -> usize {
 /// order in the output.
 ///
 /// Work is distributed by atomic index stealing, so uneven item costs
-/// balance across workers. A panic in `f` propagates to the caller once
-/// the scope joins.
+/// balance across workers. A panic in `f` propagates to the caller, with
+/// its own payload, once every worker has joined.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -87,8 +87,9 @@ where
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            s.spawn(|| {
+            workers.push(s.spawn(|| {
                 let mut local = Vec::new();
                 loop {
                     // A cancelled token stops the whole map at the next
@@ -106,7 +107,19 @@ where
                     .lock()
                     .expect("collector mutex not poisoned: workers do not panic while holding it")
                     .extend(local);
-            });
+            }));
+        }
+        // Join every worker before re-raising, then re-raise the first
+        // worker's own payload: the scope's generic "a scoped thread
+        // panicked" would hide the message from `run_isolated` callers.
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            panic::resume_unwind(payload);
         }
     });
     if let Some(t) = token {

@@ -10,6 +10,7 @@ use smash_support::governor::StageScope;
 use smash_support::impl_json_struct;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// Dense id of an (aggregated) server within a [`TraceDataset`].
 pub type ServerId = u32;
@@ -61,6 +62,35 @@ impl_json_struct!(CompactRecord {
     resp_bytes,
     redirect_to,
 });
+
+/// Lookups memoized for the duration of one dataset build, so a repeated
+/// host or IP costs one hash probe instead of re-deriving (and
+/// allocating) its aggregated server name or dotted-quad string.
+#[derive(Default)]
+struct BuildMemo {
+    servers: HashMap<String, ServerId>,
+    ips: HashMap<Ipv4Addr, u32>,
+}
+
+impl BuildMemo {
+    /// The aggregated server id of a host, referrer or redirect target.
+    fn server(&mut self, ds: &mut TraceDataset, host: &str) -> ServerId {
+        if let Some(&id) = self.servers.get(host) {
+            return id;
+        }
+        let id = ds.intern_server(host);
+        self.servers.insert(host.to_owned(), id);
+        id
+    }
+
+    /// The interned id of a server IP.
+    fn ip(&mut self, ds: &mut TraceDataset, ip: Ipv4Addr) -> u32 {
+        *self
+            .ips
+            .entry(ip)
+            .or_insert_with(|| ds.ips.intern(&ip.to_string()))
+    }
+}
 
 /// How many records the governed ingest processes between byte-account
 /// reconciliations (and cancellation ticks).
@@ -199,10 +229,11 @@ impl TraceDataset {
         let mut posting_cells: u64 = 0;
         let mut charged: u64 = 0;
         let mut pending = 0usize;
+        let mut memo = BuildMemo::default();
         for r in records {
-            let server = ds.intern_server(&r.host);
-            let referrer = r.referrer.as_deref().map(|h| ds.intern_server(h));
-            let redirect_to = r.redirect_to.as_deref().map(|h| ds.intern_server(h));
+            let server = memo.server(&mut ds, &r.host);
+            let referrer = r.referrer.as_deref().map(|h| memo.server(&mut ds, h));
+            let redirect_to = r.redirect_to.as_deref().map(|h| memo.server(&mut ds, h));
             let file_str = uri_file(&r.uri);
             let is_dir = file_str.is_empty();
             let rec = CompactRecord {
@@ -210,7 +241,7 @@ impl TraceDataset {
                 client: ds.clients.intern(&r.client),
                 server,
                 host: ds.hosts.intern(&r.host),
-                ip: ds.ips.intern(&r.server_ip.to_string()),
+                ip: memo.ip(&mut ds, r.server_ip),
                 file: ds.files.intern(file_str),
                 path: ds.paths.intern(uri_path(&r.uri)),
                 param_pattern: ds.params.intern(&parameter_pattern(&r.uri)),

@@ -3,21 +3,26 @@
 //! The paper's input is PCAP; our portable interchange format is one JSON
 //! object per line, which is trivially produced from any flow log.
 //!
-//! Two decode modes are offered. The strict readers ([`read_jsonl`],
-//! [`read_jsonl_file`]) abort on the first malformed line — right for
-//! files we wrote ourselves. The lenient reader ([`read_jsonl_lenient`])
-//! is for dirty edge-of-ISP flow logs, where malformed lines are the
-//! norm: bad lines are counted per error class in an [`IngestReport`]
-//! (and optionally spilled to a quarantine sidecar), and an *error
-//! budget* distinguishes a dirty trace (ingest what you can) from the
-//! wrong file entirely (fail fast with [`IngestError::BudgetExceeded`]).
+//! Every line goes through one decoder, [`decode_record_line`]. It scans
+//! the line's object members straight into an [`HttpRecord`] in one
+//! linear pass — no `Json` tree — and classifies a line it cannot decode
+//! as a [`LineError`]. The readers differ only in what a bad line does.
+//! The strict readers ([`read_jsonl`], [`read_jsonl_file`]) abort on the
+//! first one — right for files we wrote ourselves. The lenient reader
+//! ([`read_jsonl_lenient`]) is for dirty edge-of-ISP flow logs, where
+//! malformed lines are the norm: bad lines are counted per error class
+//! in an [`IngestReport`] (and optionally spilled to a quarantine
+//! sidecar), and an *error budget* distinguishes a dirty trace (ingest
+//! what you can) from the wrong file entirely (fail fast with
+//! [`IngestError::BudgetExceeded`]). `smash serve` decodes each `INGEST`
+//! payload with the same function.
 
 use crate::record::HttpRecord;
 use smash_support::ckpt;
 use smash_support::failpoint;
 use smash_support::governor::CancelToken;
 use smash_support::impl_json_struct;
-use smash_support::json::{self, FromJson};
+use smash_support::json::{FromJson, JsonError, Scanner};
 use smash_support::retry;
 use std::fmt;
 use std::fs::File;
@@ -248,9 +253,6 @@ impl<'a> Quarantine<'a> {
     }
 }
 
-/// Classifies one undecodable (but syntactically valid JSON) line: an
-/// unparseable or mistyped `server_ip` is its own class, everything
-/// else (missing/mistyped field) is `bad_field`.
 /// Why one record line failed to decode, mirroring the
 /// [`IngestReport`] error classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,24 +276,159 @@ impl LineError {
     }
 }
 
-/// Decodes one JSONL record line: the lenient reader's per-line core,
+/// Decodes one JSONL record line: the per-line core of every reader,
 /// shared with the serve layer's wire protocol so a hostile `INGEST`
 /// line is classified exactly like a hostile trace line.
+///
+/// The line must be one JSON value. Members are read in one pass: the
+/// first occurrence of a key wins, unknown keys are skipped (their
+/// values must still be valid JSON), integers follow the
+/// [`FromJson`] rules, and an absent `resp_bytes` is 0. A line that is
+/// valid JSON but not a record is `BadIp` when its first `server_ip` is
+/// not an IPv4 string, and `BadField` otherwise.
 ///
 /// # Errors
 ///
 /// A [`LineError`] naming the failing class; never panics, whatever the
 /// bytes.
 pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
-    let value = std::str::from_utf8(raw)
-        .ok()
-        .and_then(|line| json::parse(line).ok())
-        .ok_or(LineError::BadJson)?;
-    HttpRecord::from_json(&value).map_err(|_| match value.get("server_ip") {
-        Some(json::Json::Str(s)) if s.parse::<Ipv4Addr>().is_err() => LineError::BadIp,
-        Some(json::Json::Str(_)) | None => LineError::BadField,
-        Some(_) => LineError::BadIp,
-    })
+    std::str::from_utf8(raw)
+        .map_err(|_| LineError::BadJson)
+        .and_then(decode_record_str)
+}
+
+fn decode_record_str(line: &str) -> Result<HttpRecord, LineError> {
+    let mut s = Scanner::new(line);
+    let mut fields = RecordFields::default();
+    let scanned = if s.peek_token() == Some(b'{') {
+        s.object(|s, key| fields.member(s, &key))
+    } else {
+        s.skip_value()
+    };
+    scanned
+        .and_then(|()| s.finish())
+        .map_err(|_| LineError::BadJson)?;
+    let class = match fields.server_ip {
+        Some(Err(Mistyped)) => LineError::BadIp,
+        _ => LineError::BadField,
+    };
+    fields.into_record().ok_or(class)
+}
+
+/// A member value of the wrong JSON type or out of range for its field.
+struct Mistyped;
+
+/// One record field as the decoder found it: `None` before the key's
+/// first occurrence, then that occurrence's value or [`Mistyped`].
+type Slot<T> = Option<Result<T, Mistyped>>;
+
+/// A reader of one member value: the outer error is a JSON syntax error
+/// (the line is `bad-json`), the inner one a type mismatch.
+type ReadValue<T> = fn(&mut Scanner<'_>) -> Result<Result<T, Mistyped>, JsonError>;
+
+/// The [`HttpRecord`] fields of one line, filled member by member.
+#[derive(Default)]
+struct RecordFields {
+    timestamp: Slot<u64>,
+    client: Slot<String>,
+    host: Slot<String>,
+    server_ip: Slot<Ipv4Addr>,
+    method: Slot<String>,
+    uri: Slot<String>,
+    user_agent: Slot<String>,
+    referrer: Slot<Option<String>>,
+    status: Slot<u16>,
+    resp_bytes: Slot<u32>,
+    redirect_to: Slot<Option<String>>,
+}
+
+impl RecordFields {
+    /// Consumes the value of the member `key`.
+    fn member(&mut self, s: &mut Scanner<'_>, key: &str) -> Result<(), JsonError> {
+        match key {
+            "timestamp" => fill(&mut self.timestamp, s, read_uint),
+            "client" => fill(&mut self.client, s, read_string),
+            "host" => fill(&mut self.host, s, read_string),
+            "server_ip" => fill(&mut self.server_ip, s, read_ipv4),
+            "method" => fill(&mut self.method, s, read_string),
+            "uri" => fill(&mut self.uri, s, read_string),
+            "user_agent" => fill(&mut self.user_agent, s, read_string),
+            "referrer" => fill(&mut self.referrer, s, read_opt_string),
+            "status" => fill(&mut self.status, s, read_uint),
+            "resp_bytes" => fill(&mut self.resp_bytes, s, read_uint),
+            "redirect_to" => fill(&mut self.redirect_to, s, read_opt_string),
+            _ => s.skip_value(),
+        }
+    }
+
+    /// The record, or `None` when a required field is missing or any
+    /// field is mistyped.
+    fn into_record(self) -> Option<HttpRecord> {
+        fn get<T>(slot: Slot<T>) -> Option<T> {
+            slot?.ok()
+        }
+        Some(HttpRecord {
+            timestamp: get(self.timestamp)?,
+            client: get(self.client)?,
+            host: get(self.host)?,
+            server_ip: get(self.server_ip)?,
+            method: get(self.method)?,
+            uri: get(self.uri)?,
+            user_agent: get(self.user_agent)?,
+            referrer: get(self.referrer)?,
+            status: get(self.status)?,
+            resp_bytes: get(self.resp_bytes.or(Some(Ok(0))))?,
+            redirect_to: get(self.redirect_to)?,
+        })
+    }
+}
+
+/// Reads a member into `slot` on its key's first occurrence; a later
+/// duplicate is validated and dropped.
+fn fill<T>(slot: &mut Slot<T>, s: &mut Scanner<'_>, read: ReadValue<T>) -> Result<(), JsonError> {
+    if slot.is_some() {
+        return s.skip_value();
+    }
+    *slot = Some(read(s)?);
+    Ok(())
+}
+
+fn mistyped<T>(s: &mut Scanner<'_>) -> Result<Result<T, Mistyped>, JsonError> {
+    s.skip_value().map(|()| Err(Mistyped))
+}
+
+fn read_string(s: &mut Scanner<'_>) -> Result<Result<String, Mistyped>, JsonError> {
+    match s.peek_token() {
+        Some(b'"') => Ok(Ok(s.string()?.into_owned())),
+        _ => mistyped(s),
+    }
+}
+
+fn read_opt_string(s: &mut Scanner<'_>) -> Result<Result<Option<String>, Mistyped>, JsonError> {
+    match s.peek_token() {
+        Some(b'"') => Ok(Ok(Some(s.string()?.into_owned()))),
+        Some(b'n') => s.value().map(|_| Ok(None)),
+        _ => mistyped(s),
+    }
+}
+
+fn read_ipv4(s: &mut Scanner<'_>) -> Result<Result<Ipv4Addr, Mistyped>, JsonError> {
+    match s.peek_token() {
+        Some(b'"') => Ok(s.string()?.parse().map_err(|_| Mistyped)),
+        _ => mistyped(s),
+    }
+}
+
+/// Integers go through the same [`FromJson`] conversion as the tree
+/// path: a `UInt`, a non-negative `Int` or an integral `Float`,
+/// range-checked for `T`.
+fn read_uint<T: FromJson>(s: &mut Scanner<'_>) -> Result<Result<T, Mistyped>, JsonError> {
+    match s.peek_token() {
+        Some(b) if b == b'-' || b.is_ascii_digit() => {
+            Ok(T::from_json(&s.number()?).map_err(|_| Mistyped))
+        }
+        _ => mistyped(s),
+    }
 }
 
 /// Reads JSONL leniently: malformed lines are counted and optionally
@@ -396,15 +533,21 @@ pub fn write_jsonl<W: Write>(mut w: W, records: &[HttpRecord]) -> io::Result<()>
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure or malformed JSON.
+/// Returns an error on I/O failure or at the first line that does not
+/// decode; the message names the line and its [`LineError`] class.
 pub fn read_jsonl<R: Read>(r: R) -> io::Result<Vec<HttpRecord>> {
     let mut out = Vec::new();
-    for line in BufReader::new(r).lines() {
+    for (i, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        out.push(smash_support::json::from_str(&line).map_err(io::Error::other)?);
+        out.push(decode_record_str(&line).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("jsonl line {}: {}", i + 1, e.class()),
+            )
+        })?);
     }
     Ok(out)
 }

@@ -1,6 +1,8 @@
 //! Property-based tests for the trace substrate.
 
 use smash_support::check::{check, Gen};
+use smash_support::json::{self, FromJson, Json};
+use smash_trace::io::{decode_record_line, LineError};
 use smash_trace::uri::charset_cosine;
 use smash_trace::{
     parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, Interner, ServerKey,
@@ -294,4 +296,211 @@ fn jsonl_round_trip() {
             assert_eq!(records, back);
         },
     );
+}
+
+/// The reference decoder `decode_record_line` must match: `json::parse`,
+/// then `HttpRecord::from_json`, with a failed record classified by its
+/// first `server_ip` member alone.
+fn oracle(raw: &[u8]) -> Result<HttpRecord, LineError> {
+    let value = std::str::from_utf8(raw)
+        .ok()
+        .and_then(|line| json::parse(line).ok())
+        .ok_or(LineError::BadJson)?;
+    HttpRecord::from_json(&value).map_err(|_| match value.get("server_ip") {
+        Some(Json::Str(s)) if s.parse::<std::net::Ipv4Addr>().is_err() => LineError::BadIp,
+        Some(Json::Str(_)) | None => LineError::BadField,
+        Some(_) => LineError::BadIp,
+    })
+}
+
+fn assert_decodes_like_oracle(raw: &[u8]) {
+    assert_eq!(
+        decode_record_line(raw),
+        oracle(raw),
+        "line: {}",
+        String::from_utf8_lossy(raw)
+    );
+}
+
+/// A valid record line with every optional field drawn both ways.
+fn record_line(g: &mut Gen) -> String {
+    let mut r = HttpRecord::new(
+        g.range(0u64..100_000),
+        &g.string(1..=6, ALNUM),
+        &hostname(g),
+        &format!(
+            "{}.{}.0.{}",
+            g.range(1u8..=255),
+            g.range(0u8..=255),
+            g.range(0u8..=255)
+        ),
+        &uri(g),
+    )
+    .with_user_agent(&g.string(0..=8, ALNUM))
+    .with_status(g.range(0u16..600))
+    .with_resp_bytes(g.range(0u32..5000));
+    if g.bool(0.3) {
+        r = r.with_referrer(&hostname(g));
+    }
+    if g.bool(0.3) {
+        r = r.with_redirect_to(&hostname(g));
+    }
+    let line = json::to_string(&r);
+    if g.bool(0.2) {
+        // Old traces carry no `resp_bytes` member.
+        line.replace(&format!(",\"resp_bytes\":{}", r.resp_bytes), "")
+    } else {
+        line
+    }
+}
+
+/// Whole members that stress the decoder's field rules when spliced
+/// into a record object: duplicates, mistyped and out-of-range values,
+/// number spellings, unknown keys with nested values.
+const MEMBERS: &[&str] = &[
+    r#""timestamp":-0,"#,
+    r#""timestamp":1e2,"#,
+    r#""status":200.0,"#,
+    r#""status":70000,"#,
+    r#""status":"200","#,
+    r#""resp_bytes":null,"#,
+    r#""resp_bytes":-1,"#,
+    r#""server_ip":"1.2.3","#,
+    r#""server_ip":7,"#,
+    r#""server_ip":"9.9.9.9","#,
+    r#""referrer":null,"#,
+    r#""referrer":["x"],"#,
+    r#""host":"A\ud83e\udd80","#,
+    r#""extra":{"a":[1,{"b":null}],"c":"\n"},"#,
+    r#""client":"c","client":5,"#,
+];
+
+/// Fragments that are not members: broken escapes, stray brackets,
+/// control bytes.
+const FRAGMENTS: &[&str] = &["\\ud800", "\\u00e9", "[[[[", "]}", "null", " \t", "\u{1}"];
+
+/// A valid record line with one to four random edits: members spliced
+/// in after a `{` or `,` (still valid JSON, so the field rules are
+/// exercised), fragments spliced anywhere, byte overwrites, deletions,
+/// truncation.
+fn mutated_line(g: &mut Gen) -> Vec<u8> {
+    let mut bytes = record_line(g).into_bytes();
+    for _ in 0..g.range(1usize..=4) {
+        let at = g.range(0..=bytes.len());
+        match g.range(0u8..8) {
+            0 if at < bytes.len() => {
+                bytes[at] = *g.pick(b"{}[]\",:\\ -.eE0123456789nu\xff");
+            }
+            1 if at < bytes.len() => {
+                let end = g.range(at..=bytes.len().min(at + 8));
+                bytes.drain(at..end);
+            }
+            2 => bytes.truncate(at),
+            3 => {
+                let fragment = g.pick(FRAGMENTS).as_bytes();
+                bytes.splice(at..at, fragment.iter().copied());
+            }
+            _ => {
+                let boundaries: Vec<usize> = (0..bytes.len())
+                    .filter(|&i| bytes[i] == b'{' || bytes[i] == b',')
+                    .map(|i| i + 1)
+                    .collect();
+                let at = boundaries.get(g.range(0..boundaries.len().max(1)));
+                let at = at.copied().unwrap_or(0);
+                let member = g.pick(MEMBERS).as_bytes();
+                bytes.splice(at..at, member.iter().copied());
+            }
+        }
+    }
+    bytes
+}
+
+#[test]
+fn record_decoder_matches_the_tree_oracle_on_arbitrary_bytes() {
+    check(raw_bytes, |bytes| assert_decodes_like_oracle(bytes));
+}
+
+#[test]
+fn record_decoder_matches_the_tree_oracle_on_mutated_lines() {
+    check(mutated_line, |bytes| assert_decodes_like_oracle(bytes));
+}
+
+#[test]
+fn record_decoder_matches_the_tree_oracle_on_valid_lines() {
+    check(record_line, |line| {
+        assert!(decode_record_line(line.as_bytes()).is_ok(), "line: {line}");
+        assert_decodes_like_oracle(line.as_bytes());
+    });
+}
+
+#[test]
+fn record_decoder_matches_the_tree_oracle_on_edge_cases() {
+    const BASE: &str = r#""timestamp":5,"client":"c","host":"h.com","server_ip":"1.2.3.4","method":"GET","uri":"/","user_agent":"","referrer":null,"status":200"#;
+    let with = |extra: &str| format!("{{{BASE},{extra}}}");
+    let sub = |from: &str, to: &str| format!("{{{},\"redirect_to\":null}}", BASE.replace(from, to));
+    let cases = [
+        // Absent optionals: resp_bytes defaults, the nullable two do not.
+        with(r#""redirect_to":null"#),
+        format!("{{{BASE}}}"),
+        sub(r#","referrer":null"#, ""),
+        // Duplicate keys: the first occurrence wins, mistyped or not.
+        with(r#""redirect_to":null,"status":404"#),
+        with(r#""redirect_to":null,"host":"second.com""#),
+        format!(r#"{{"status":"x",{BASE},"redirect_to":null}}"#),
+        format!(r#"{{"server_ip":"9.9.9.9",{BASE},"redirect_to":null}}"#),
+        format!(r#"{{"server_ip":"999.1.1.1",{BASE},"redirect_to":null}}"#),
+        format!(r#"{{"server_ip":[1],{BASE},"redirect_to":null}}"#),
+        // Unknown keys with nested values, valid and not.
+        with(r#""redirect_to":null,"x":{"y":[1,{"z":"é"}],"w":[]}"#),
+        with(r#""redirect_to":null,"x":{"y":[1,}"#),
+        with(r#""redirect_to":null,"x":"\q""#),
+        with(&format!(
+            r#""redirect_to":null,"x":{}1{}"#,
+            "[".repeat(200),
+            "]".repeat(200)
+        )),
+        // Escapes and surrogate pairs, in values and in keys.
+        with(r#""redirect_to":"\ud83e\udd80A\/\n""#),
+        with(r#""redirect_to":"\ud83e""#),
+        with(r#""redirect_to":"\udd80""#),
+        with(r#""redirect_to":"\ud83eA""#),
+        with(r#""redirect\u005fto":"x.com""#),
+        // Numbers: integral floats, negative zero, exponents, overflow.
+        with(r#""redirect_to":null,"resp_bytes":200.0"#),
+        with(r#""redirect_to":null,"resp_bytes":-0"#),
+        with(r#""redirect_to":null,"resp_bytes":1e2"#),
+        with(r#""redirect_to":null,"resp_bytes":1.5"#),
+        with(r#""redirect_to":null,"resp_bytes":-1"#),
+        with(r#""redirect_to":null,"resp_bytes":4294967296"#),
+        with(r#""redirect_to":null,"resp_bytes":1e999"#),
+        with(r#""redirect_to":null,"resp_bytes":null"#),
+        sub(r#""status":200"#, r#""status":65536"#),
+        sub(r#""timestamp":5"#, r#""timestamp":18446744073709551616"#),
+        sub(r#""timestamp":5"#, r#""timestamp":99999999999999999999"#),
+        sub(r#""timestamp":5"#, r#""timestamp":-9223372036854775809"#),
+        // Surrounding whitespace and trailing garbage.
+        format!(" \t\r\n{{ {BASE} , \"redirect_to\" : null }}\r\n "),
+        format!("{{{BASE},\"redirect_to\":null}} x"),
+        format!("{{{BASE},\"redirect_to\":null}}{{}}"),
+        // Valid JSON that is not a record object.
+        "[1,2]".to_owned(),
+        "\"s\"".to_owned(),
+        "null".to_owned(),
+        "{}".to_owned(),
+        r#"{"server_ip":"999.0.0.1"}"#.to_owned(),
+        String::new(),
+        "   ".to_owned(),
+    ];
+    for line in &cases {
+        assert_decodes_like_oracle(line.as_bytes());
+    }
+    // The edge cases cover every outcome.
+    let outcomes: std::collections::HashSet<String> = cases
+        .iter()
+        .map(|l| match decode_record_line(l.as_bytes()) {
+            Ok(_) => "ok".to_owned(),
+            Err(e) => e.class().to_owned(),
+        })
+        .collect();
+    assert_eq!(outcomes.len(), 4, "outcomes: {outcomes:?}");
 }

@@ -418,6 +418,66 @@ fn tcp_shutdown_exits_despite_idle_connected_client() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Starts `smash serve` on an ephemeral TCP port and returns the child
+/// with the address from its `LISTENING` line.
+fn spawn_tcp_daemon(dir: &std::path::Path) -> (std::process::Child, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_smash"));
+    cmd.args(["serve", "--addr", "127.0.0.1:0", "--data-dir"])
+        .arg(dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    cmd.env_remove("SMASH_FAILPOINTS");
+    let mut child = cmd.spawn().expect("spawn smash serve");
+    let mut stdout = child.stdout.take().expect("stdout piped");
+    let addr = {
+        use std::io::Read as _;
+        let mut line = Vec::new();
+        let mut byte = [0u8; 1];
+        while stdout.read(&mut byte).expect("read LISTENING") == 1 && byte[0] != b'\n' {
+            line.push(byte[0]);
+        }
+        String::from_utf8(line)
+            .expect("LISTENING line utf-8")
+            .strip_prefix("LISTENING ")
+            .expect("LISTENING prefix")
+            .trim()
+            .to_owned()
+    };
+    (child, addr)
+}
+
+#[test]
+fn deeply_nested_ingest_is_bad_json_not_a_crash() {
+    // Connection threads run on the default stack; an unbounded
+    // recursive descent over this 10 KB line would overflow it and
+    // abort the whole daemon.
+    let dir = scratch("deep-nesting");
+    let (mut child, addr) = spawn_tcp_daemon(&dir);
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut replies = std::io::BufReader::new(stream);
+    let mut ask = |line: &str| -> String {
+        use std::io::BufRead as _;
+        writer.write_all(line.as_bytes()).expect("send");
+        writer.write_all(b"\n").expect("send newline");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("read reply");
+        reply.trim_end().to_owned()
+    };
+    let deep = format!("INGEST {{\"x\":{}", "[".repeat(10_000));
+    assert_eq!(ask(&deep), "ERR bad-json");
+    assert_eq!(ask("QUERY cc0.evil"), "MISS");
+    assert_eq!(ask("PING"), "PONG");
+    assert_eq!(ask("SHUTDOWN"), "OK");
+    let status = child.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exited uncleanly: {status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Chaos gate: SIGKILL at every serve failpoint, then restart.
 // ---------------------------------------------------------------------
