@@ -45,7 +45,11 @@
 #                                             SMSHCOLS day, then analyzing the
 #                                             day must print byte-identical
 #                                             output to analyzing the raw
-#                                             trace (DESIGN.md §12.4)
+#                                             trace (DESIGN.md §12.4); a copy
+#                                             with three malformed lines must
+#                                             print the same under
+#                                             --error-budget 0.05 and exit 1
+#                                             at the default budget 0
 #   6g. daemon smoke                          `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -107,11 +111,24 @@ cargo run -q --release --offline --bin smash -- preprocess "$remine_dir/trace.js
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.jsonl" >"$remine_dir/raw.out"
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.day" >"$remine_dir/day.out"
 diff -u "$remine_dir/raw.out" "$remine_dir/day.out"
+# Dirty ingest: bad JSON, a bad IP and invalid UTF-8 appended. Within a
+# 5% error budget they are quarantined and the report is unchanged; at
+# the default budget 0 the first of them fails the load.
+smash_bin="$(pwd)/target/release/smash"
+cp "$remine_dir/trace.jsonl" "$remine_dir/dirty.jsonl"
+printf '%s\n' '{broken' \
+    '{"timestamp":0,"client":"c","host":"h","server_ip":"999.1.2.3","method":"GET","uri":"/","user_agent":"","referrer":null,"status":200,"redirect_to":null}' \
+    >>"$remine_dir/dirty.jsonl"
+printf '\377\376\n' >>"$remine_dir/dirty.jsonl"
+"$smash_bin" analyze "$remine_dir/dirty.jsonl" --error-budget 0.05 >"$remine_dir/dirty.out"
+diff -u "$remine_dir/raw.out" "$remine_dir/dirty.out"
+strict_status=0
+"$smash_bin" analyze "$remine_dir/dirty.jsonl" >/dev/null 2>&1 || strict_status=$?
+test "$strict_status" -eq 1 || { echo "dirty trace at budget 0: exit $strict_status, want 1"; exit 1; }
 
 echo "==> daemon smoke (smash serve: crash mid-epoch, restart, identical answers)"
 serve_dir="$remine_dir/serve"
 mkdir -p "$serve_dir"
-smash_bin="$(pwd)/target/release/smash"
 # Reference run: ingest the generated day, seal, wait for the publish,
 # query one planted campaign member, exit cleanly.
 { sed 's/^/INGEST /' "$remine_dir/trace.jsonl"; printf 'SEAL\nWAIT\nREPORT\nSHUTDOWN\n'; } \

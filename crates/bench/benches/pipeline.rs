@@ -71,7 +71,10 @@ fn bench_dataset_build(c: &mut Criterion) {
             })
             .collect();
         smash_trace::io::write_jsonl(&mut buf, &raw).unwrap();
-        smash_trace::io::read_jsonl(&buf[..]).unwrap()
+        let strict = smash_trace::IngestOptions::default().with_error_budget(0.0);
+        smash_trace::io::read_jsonl_lenient(&buf[..], &strict)
+            .unwrap()
+            .0
     };
     let mut g = c.benchmark_group("trace");
     g.sample_size(20);

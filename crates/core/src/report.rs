@@ -207,8 +207,9 @@ impl_json_struct!(DimensionHealth {
 pub struct RunHealth {
     /// One entry per dimension, main first, in pipeline order.
     pub dimensions: Vec<DimensionHealth>,
-    /// Quarantine counts from a lenient ingest, when the trace came
-    /// through one (attached by the CLI; `None` for in-memory runs).
+    /// Per-class ingest counts of the raw trace (attached by the CLI on
+    /// every raw-trace run; `None` for in-memory runs and preprocessed
+    /// days).
     pub ingest: Option<IngestReport>,
     /// Factor applied to eq. 9 scores to renormalize over the secondary
     /// dimensions that completed (1.0 when nothing was lost).

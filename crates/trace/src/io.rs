@@ -6,16 +6,17 @@
 //! Every line goes through one decoder, [`decode_record_line`]. It scans
 //! the line's object members straight into an [`HttpRecord`] in one
 //! linear pass — no `Json` tree — and classifies a line it cannot decode
-//! as a [`LineError`]. The readers differ only in what a bad line does.
-//! The strict readers ([`read_jsonl`], [`read_jsonl_file`]) abort on the
-//! first one — right for files we wrote ourselves. The lenient reader
-//! ([`read_jsonl_lenient`]) is for dirty edge-of-ISP flow logs, where
-//! malformed lines are the norm: bad lines are counted per error class
-//! in an [`IngestReport`] (and optionally spilled to a quarantine
-//! sidecar), and an *error budget* distinguishes a dirty trace (ingest
-//! what you can) from the wrong file entirely (fail fast with
-//! [`IngestError::BudgetExceeded`]). `smash serve` decodes each `INGEST`
-//! payload with the same function.
+//! as a [`LineError`]. There is one reader, [`read_jsonl_lenient`], and
+//! its [`IngestOptions::error_budget`] decides what a bad line does.
+//! Dirty edge-of-ISP flow logs, where malformed lines are the norm, get
+//! a budget above 0: bad lines are counted per error class in an
+//! [`IngestReport`] (and optionally spilled to a quarantine sidecar),
+//! and the budget distinguishes a dirty trace (ingest what you can) from
+//! the wrong file entirely (fail fast with
+//! [`IngestError::BudgetExceeded`]). A budget of 0 is strict — right for
+//! files we wrote ourselves: the first bad line fails the read with an
+//! error naming its line number and class. `smash serve` decodes each
+//! `INGEST` payload with the same function.
 
 use crate::record::HttpRecord;
 use smash_support::ckpt;
@@ -30,7 +31,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
-/// Per-error-class counts from one lenient ingest.
+/// Per-error-class counts from one ingest.
 ///
 /// `lines` counts every non-blank input line (or declared record, for
 /// the binary format); `records` counts the ones that decoded. The
@@ -38,7 +39,8 @@ use std::path::{Path, PathBuf};
 /// "5% of lines had a mangled IP field" from "this is not JSONL at all".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
-    /// Non-blank lines seen (binary: records the header declared).
+    /// Non-blank lines seen (binary: records the header declared, plus
+    /// one for any bytes after them).
     pub lines: usize,
     /// Records successfully decoded.
     pub records: usize,
@@ -49,7 +51,7 @@ pub struct IngestReport {
     /// Well-formed JSON whose `server_ip` was not an IPv4 literal.
     pub bad_ip: usize,
     /// Well-formed JSON with another missing or mistyped field
-    /// (binary: records lost to a corrupt region).
+    /// (binary: records lost to a corrupt region, or trailing bytes).
     pub bad_field: usize,
     /// Bad lines spilled to the quarantine sidecar.
     pub quarantined: usize,
@@ -84,7 +86,7 @@ impl IngestReport {
     }
 }
 
-/// Tuning knobs for lenient ingest.
+/// Tuning knobs for ingest.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
     /// Lines longer than this are rejected unread (guards against
@@ -92,12 +94,13 @@ pub struct IngestOptions {
     pub max_line_bytes: usize,
     /// Maximum tolerated [`IngestReport::bad_fraction`]; exceeding it
     /// fails the whole ingest with [`IngestError::BudgetExceeded`].
-    /// Default 0.05 — the "dirty trace vs. wrong file" line.
+    /// Default 0.05 — the "dirty trace vs. wrong file" line. At 0 the
+    /// readers are strict and stop at the first bad line.
     pub error_budget: f64,
     /// When set, raw rejected lines are appended to this sidecar file
     /// for offline inspection.
     pub quarantine: Option<PathBuf>,
-    /// When set, the lenient readers poll this token every
+    /// When set, the readers poll this token every
     /// [`CANCEL_POLL_LINES`] lines and abort with
     /// [`IngestError::Cancelled`] once it fires (governor deadlines and
     /// run-level cancellation reach ingest through here).
@@ -157,12 +160,13 @@ pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), IngestErr
     }
 }
 
-/// A lenient ingest that could not produce a usable dataset.
+/// An ingest that could not produce a usable dataset.
 #[derive(Debug)]
 pub enum IngestError {
-    /// Underlying I/O failure (including quarantine-sidecar writes), or
-    /// a structurally unreadable binary file (bad magic / corrupt string
-    /// table) — the "wrong file" signal.
+    /// Underlying I/O failure (including quarantine-sidecar writes), a
+    /// structurally unreadable binary file (bad magic / corrupt string
+    /// table) — the "wrong file" signal — or, at error budget 0, the
+    /// first bad JSONL line (`jsonl line N: <class>`).
     Io(io::Error),
     /// More lines were bad than the error budget allows.
     BudgetExceeded {
@@ -292,12 +296,7 @@ impl LineError {
 /// A [`LineError`] naming the failing class; never panics, whatever the
 /// bytes.
 pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
-    std::str::from_utf8(raw)
-        .map_err(|_| LineError::BadJson)
-        .and_then(decode_record_str)
-}
-
-fn decode_record_str(line: &str) -> Result<HttpRecord, LineError> {
+    let line = std::str::from_utf8(raw).map_err(|_| LineError::BadJson)?;
     let mut s = Scanner::new(line);
     let mut fields = RecordFields::default();
     let scanned = if s.peek_token() == Some(b'{') {
@@ -431,13 +430,18 @@ fn read_uint<T: FromJson>(s: &mut Scanner<'_>) -> Result<Result<T, Mistyped>, Js
     }
 }
 
-/// Reads JSONL leniently: malformed lines are counted and optionally
-/// quarantined instead of aborting the ingest. Blank lines are skipped.
+/// Reads JSONL records from `r`: malformed lines are counted and
+/// optionally quarantined, within [`IngestOptions::error_budget`].
+/// Lines of ASCII whitespace only are skipped.
+///
+/// A `&mut` reader may be passed since `Read` is implemented for mutable
+/// references.
 ///
 /// # Errors
 ///
-/// Returns [`IngestError::Io`] on I/O failure and
-/// [`IngestError::BudgetExceeded`] when more than
+/// Returns [`IngestError::Io`] on I/O failure or, at budget 0, at the
+/// first bad line (the message names its 1-based line number and
+/// class), and [`IngestError::BudgetExceeded`] when more than
 /// [`IngestOptions::error_budget`] of the lines were bad.
 pub fn read_jsonl_lenient<R: Read>(
     r: R,
@@ -450,7 +454,7 @@ pub fn read_jsonl_lenient<R: Read>(
     let mut quarantine = Quarantine::new(opts.quarantine.as_deref());
     let mut reader = BufReader::new(r);
     let mut raw: Vec<u8> = Vec::new();
-    loop {
+    for line_no in 1usize.. {
         raw.clear();
         // Byte-oriented reading: invalid UTF-8 must be a counted error
         // class, not an abort (BufRead::lines would error out).
@@ -467,24 +471,34 @@ pub fn read_jsonl_lenient<R: Read>(
         if report.lines % CANCEL_POLL_LINES == 0 {
             check_cancel(opts.cancel.as_ref())?;
         }
-        if raw.len() > opts.max_line_bytes {
+        let class = if raw.len() > opts.max_line_bytes {
             report.oversized += 1;
-            quarantine.spill(&raw, &mut report)?;
-            continue;
-        }
-        match decode_record_line(&raw) {
-            Ok(rec) => {
-                report.records += 1;
-                out.push(rec);
-            }
-            Err(e) => {
-                match e {
-                    LineError::BadJson => report.bad_json += 1,
-                    LineError::BadIp => report.bad_ip += 1,
-                    LineError::BadField => report.bad_field += 1,
+            "oversized"
+        } else {
+            match decode_record_line(&raw) {
+                Ok(rec) => {
+                    report.records += 1;
+                    out.push(rec);
+                    continue;
                 }
-                quarantine.spill(&raw, &mut report)?;
+                Err(e) => {
+                    match e {
+                        LineError::BadJson => report.bad_json += 1,
+                        LineError::BadIp => report.bad_ip += 1,
+                        LineError::BadField => report.bad_field += 1,
+                    }
+                    e.class()
+                }
             }
+        };
+        quarantine.spill(&raw, &mut report)?;
+        if opts.error_budget <= 0.0 {
+            // Any bad line exceeds a zero budget: stop here and say where.
+            quarantine.finish()?;
+            return Err(IngestError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("jsonl line {line_no}: {class}"),
+            )));
         }
     }
     quarantine.finish()?;
@@ -495,18 +509,6 @@ pub fn read_jsonl_lenient<R: Read>(
         });
     }
     Ok((out, report))
-}
-
-/// Lenient read of the file at `path` (see [`read_jsonl_lenient`]).
-///
-/// # Errors
-///
-/// Returns any underlying I/O error or a blown error budget.
-pub fn read_jsonl_lenient_file<P: AsRef<Path>>(
-    path: P,
-    opts: &IngestOptions,
-) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
-    read_jsonl_lenient(File::open(path).map_err(IngestError::Io)?, opts)
 }
 
 /// Writes records as JSONL to `w`.
@@ -526,32 +528,6 @@ pub fn write_jsonl<W: Write>(mut w: W, records: &[HttpRecord]) -> io::Result<()>
     Ok(())
 }
 
-/// Reads JSONL records from `r`. Blank lines are skipped.
-///
-/// A `&mut` reader may be passed since `Read` is implemented for mutable
-/// references.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure or at the first line that does not
-/// decode; the message names the line and its [`LineError`] class.
-pub fn read_jsonl<R: Read>(r: R) -> io::Result<Vec<HttpRecord>> {
-    let mut out = Vec::new();
-    for (i, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(decode_record_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("jsonl line {}: {}", i + 1, e.class()),
-            )
-        })?);
-    }
-    Ok(out)
-}
-
 /// Writes records to the file at `path`, creating or truncating it.
 ///
 /// # Errors
@@ -559,15 +535,6 @@ pub fn read_jsonl<R: Read>(r: R) -> io::Result<Vec<HttpRecord>> {
 /// Returns any underlying I/O error.
 pub fn write_jsonl_file<P: AsRef<Path>>(path: P, records: &[HttpRecord]) -> io::Result<()> {
     write_jsonl(BufWriter::new(File::create(path)?), records)
-}
-
-/// Reads records from the file at `path`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error or malformed JSON.
-pub fn read_jsonl_file<P: AsRef<Path>>(path: P) -> io::Result<Vec<HttpRecord>> {
-    read_jsonl(File::open(path)?)
 }
 
 #[cfg(test)]
@@ -589,6 +556,15 @@ mod tests {
         dir
     }
 
+    /// Error budget 0: the first bad line fails the read.
+    fn strict() -> IngestOptions {
+        IngestOptions::default().with_error_budget(0.0)
+    }
+
+    fn read(bytes: &[u8]) -> Result<Vec<HttpRecord>, IngestError> {
+        read_jsonl_lenient(bytes, &strict()).map(|(recs, _)| recs)
+    }
+
     fn sample() -> Vec<HttpRecord> {
         vec![
             HttpRecord::new(0, "c1", "x.com", "1.1.1.1", "/a.php?k=1").with_user_agent("UA"),
@@ -601,8 +577,7 @@ mod tests {
         let recs = sample();
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &recs).unwrap();
-        let back = read_jsonl(&buf[..]).unwrap();
-        assert_eq!(recs, back);
+        assert_eq!(read(&buf[..]).unwrap(), recs);
     }
 
     #[test]
@@ -610,14 +585,53 @@ mod tests {
         let recs = sample();
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &recs).unwrap();
-        buf.extend_from_slice(b"\n\n");
-        let back = read_jsonl(&buf[..]).unwrap();
+        buf.extend_from_slice(b"\n\n  \t\r\n\x0c\n");
+        let (back, report) = read_jsonl_lenient(&buf[..], &strict()).unwrap();
         assert_eq!(back.len(), 2);
+        assert_eq!(report.lines, 2);
     }
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(read_jsonl(&b"{not json}\n"[..]).is_err());
+        // The error names the first bad line by its 1-based physical
+        // number (blank lines count) and its class, and reading stops
+        // there: the later bad line is never reached.
+        let mut buf = Vec::new();
+        write_jsonl(&mut buf, &sample()).unwrap();
+        buf.extend_from_slice(b"\n{not json}\n\xff\n");
+        match read(&buf[..]) {
+            Err(IngestError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(e.to_string(), "jsonl line 4: bad-json");
+            }
+            other => panic!("expected the first bad line, got {other:?}"),
+        }
+        // `dirty_buffer(1, 2)`: a good line, `{not json`, a bad IP.
+        let dirty = dirty_buffer(1, 2);
+        let err = read(&dirty[..]).unwrap_err().to_string();
+        assert!(err.ends_with("jsonl line 2: bad-json"), "got: {err}");
+        let bad_ip = dirty.split(|&b| b == b'\n').nth(2).unwrap();
+        let err = read(bad_ip).unwrap_err().to_string();
+        assert!(err.ends_with("jsonl line 1: bad-ip"), "got: {err}");
+    }
+
+    #[test]
+    fn whitespace_beyond_ascii_is_a_bad_line() {
+        // Only ASCII whitespace makes a line blank: a vertical-tab-only
+        // and an NBSP-only line are lines, and not JSON.
+        let mut buf = Vec::new();
+        let good: Vec<HttpRecord> = (0..40)
+            .map(|i| HttpRecord::new(i, "c", "ok.com", "1.1.1.1", "/"))
+            .collect();
+        write_jsonl(&mut buf, &good[..20]).unwrap();
+        buf.extend_from_slice(b"\x0b\n\xc2\xa0\n");
+        write_jsonl(&mut buf, &good[20..]).unwrap();
+        let err = read(&buf[..]).unwrap_err().to_string();
+        assert!(err.ends_with("jsonl line 21: bad-json"), "got: {err}");
+        let opts = IngestOptions::default().with_error_budget(0.05);
+        let (recs, report) = read_jsonl_lenient(&buf[..], &opts).unwrap();
+        assert_eq!(recs, good);
+        assert_eq!((report.lines, report.bad_json), (42, 2));
     }
 
     #[test]
@@ -626,7 +640,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let recs = sample();
         write_jsonl_file(&path, &recs).unwrap();
-        let back = read_jsonl_file(&path).unwrap();
+        let (back, _) = read_jsonl_lenient(File::open(&path).unwrap(), &strict()).unwrap();
         assert_eq!(recs, back);
         std::fs::remove_dir_all(&dir).ok();
     }

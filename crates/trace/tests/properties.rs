@@ -5,14 +5,19 @@ use smash_support::json::{self, FromJson, Json};
 use smash_trace::io::{decode_record_line, LineError};
 use smash_trace::uri::charset_cosine;
 use smash_trace::{
-    parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, Interner, ServerKey,
-    TraceDataset,
+    parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, IngestOptions,
+    Interner, ServerKey, TraceDataset,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const LOWER_DIGIT: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
 const ALNUM: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 const URI_CHARS: &str = "abcdefghijklmnopqrstuvwxyz0123456789/._?=&-";
+
+/// Error budget 0: the readers' strict setting.
+fn strict() -> IngestOptions {
+    IngestOptions::default().with_error_budget(0.0)
+}
 
 fn hostname(g: &mut Gen) -> String {
     g.vec(1..4, |g| g.string(1..=8, LOWER_DIGIT)).join(".")
@@ -202,7 +207,7 @@ fn binary_round_trip() {
                 .collect();
             let mut buf = Vec::new();
             smash_trace::binary::write_binary(&mut buf, &records).unwrap();
-            let back = smash_trace::binary::read_binary(&buf[..]).unwrap();
+            let (back, _) = smash_trace::binary::read_binary_lenient(&buf[..], &strict()).unwrap();
             assert_eq!(records, back);
         },
     );
@@ -218,7 +223,7 @@ fn raw_bytes(g: &mut Gen) -> Vec<u8> {
 fn arbitrary_bytes_never_panic_strict_jsonl_reader() {
     check(raw_bytes, |bytes| {
         // Errors are fine; unwinding is not.
-        let _ = smash_trace::io::read_jsonl(&bytes[..]);
+        let _ = smash_trace::io::read_jsonl_lenient(&bytes[..], &strict());
     });
 }
 
@@ -226,7 +231,7 @@ fn arbitrary_bytes_never_panic_strict_jsonl_reader() {
 fn arbitrary_bytes_never_panic_lenient_jsonl_reader() {
     // Budget 1.0 forces the lenient path to classify every line instead
     // of bailing early, walking the full error-counting surface.
-    let opts = smash_trace::IngestOptions::default().with_error_budget(1.0);
+    let opts = IngestOptions::default().with_error_budget(1.0);
     check(raw_bytes, move |bytes| {
         if let Ok((recs, report)) = smash_trace::io::read_jsonl_lenient(&bytes[..], &opts) {
             assert_eq!(recs.len(), report.records);
@@ -237,9 +242,9 @@ fn arbitrary_bytes_never_panic_lenient_jsonl_reader() {
 
 #[test]
 fn arbitrary_bytes_never_panic_binary_readers() {
-    let opts = smash_trace::IngestOptions::default().with_error_budget(1.0);
+    let opts = IngestOptions::default().with_error_budget(1.0);
     check(raw_bytes, move |bytes| {
-        let _ = smash_trace::binary::read_binary(&bytes[..]);
+        let _ = smash_trace::binary::read_binary_lenient(&bytes[..], &strict());
         let _ = smash_trace::binary::read_binary_lenient(&bytes[..], &opts);
     });
 }
@@ -266,8 +271,8 @@ fn corrupted_valid_archives_never_panic() {
             if *flip < bytes.len() {
                 bytes[*flip] ^= 1 << bit;
             }
-            let opts = smash_trace::IngestOptions::default().with_error_budget(1.0);
-            let _ = smash_trace::binary::read_binary(&bytes[..]);
+            let opts = IngestOptions::default().with_error_budget(1.0);
+            let _ = smash_trace::binary::read_binary_lenient(&bytes[..], &strict());
             let _ = smash_trace::binary::read_binary_lenient(&bytes[..], &opts);
         },
     );
@@ -292,7 +297,7 @@ fn jsonl_round_trip() {
                 .collect();
             let mut buf = Vec::new();
             smash_trace::io::write_jsonl(&mut buf, &records).unwrap();
-            let back = smash_trace::io::read_jsonl(&buf[..]).unwrap();
+            let (back, _) = smash_trace::io::read_jsonl_lenient(&buf[..], &strict()).unwrap();
             assert_eq!(records, back);
         },
     );

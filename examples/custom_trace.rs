@@ -8,7 +8,7 @@
 //! ```
 
 use smash::core::{Smash, SmashConfig};
-use smash::trace::{io, HttpRecord, TraceDataset, TraceStats};
+use smash::trace::{io, HttpRecord, IngestOptions, TraceDataset, TraceStats};
 use smash::whois::{WhoisRecord, WhoisRegistry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,7 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    shipper can produce.
     let path = std::env::temp_dir().join("smash-custom-trace.jsonl");
     io::write_jsonl_file(&path, &records)?;
-    let records = io::read_jsonl_file(&path)?;
+    // Error budget 0 is strict: the first malformed line fails the read.
+    let strict = IngestOptions::default().with_error_budget(0.0);
+    let (records, _) = io::read_jsonl_lenient(std::fs::File::open(&path)?, &strict)?;
 
     // Ingest interns every string into the columnar arena: records
     // become rows across typed columns, servers get dense u32 ids, and

@@ -5,7 +5,7 @@
 //! smash stats out.jsonl                       # Table-I style statistics
 //! smash analyze out.jsonl                     # infer campaigns (text report)
 //! smash analyze out.jsonl --whois out.whois.json --threshold 1.0 --json report.json
-//! smash analyze dirty.jsonl --lenient --error-budget 0.05   # quarantining ingest
+//! smash analyze dirty.jsonl --error-budget 0.05   # quarantining ingest
 //! smash preprocess out.jsonl day.smshcols     # intern + index once, save the day
 //! smash analyze day.smshcols --threshold 1.0  # re-mine without re-ingesting
 //! smash baseline out.jsonl --top 15           # per-server reputation scores
@@ -14,9 +14,11 @@
 //! Traces are JSONL, one `HttpRecord` per line (see `smash::trace::io`),
 //! the compact `.smsh` binary archive, or a preprocessed `SMSHCOLS` day
 //! (written by `smash preprocess` or `--save-day`; detected by content,
-//! any file name works). With `--lenient`, malformed lines are counted
-//! per error class (and spilled to `<trace>.quarantine`) instead of
-//! aborting the ingest, as long as they stay under the error budget.
+//! any file name works). Each raw format has one reader. Its error
+//! budget (`--error-budget`) defaults to 0, which is strict: the first
+//! malformed line fails the load, naming the line and its error class.
+//! Above 0, malformed lines are counted per error class (and spilled to
+//! `<trace>.quarantine`) as long as they stay under the budget.
 //! `SMASH_FAILPOINTS` injects deterministic faults for resilience
 //! testing (see `smash::support::failpoint`).
 
@@ -41,9 +43,10 @@ usage:
 
 ingest flags (any command that loads a trace):
   --whois <path>         Whois registry JSON to join against
-  --lenient              quarantine malformed lines instead of aborting
-  --error-budget <frac>  max quarantined fraction before failing (default 0.05)
-  --quarantine <path>    quarantine sidecar path (default <trace>.quarantine)
+  --error-budget <frac>  max quarantined fraction before failing (default 0:
+                         strict, the first malformed line fails the load)
+  --quarantine <path>    quarantine sidecar path (default <trace>.quarantine
+                         when the error budget is above 0)
   --save-day <path>      after ingest, save the interned dataset as a
                          SMSHCOLS day file (see DESIGN.md §12)
   --load-day <path>      load a SMSHCOLS day instead of a raw trace
@@ -179,7 +182,6 @@ type FlagSpec = (&'static str, bool);
 /// Flags shared by every command that loads a trace.
 const LOAD_FLAGS: &[FlagSpec] = &[
     ("--whois", true),
-    ("--lenient", false),
     ("--error-budget", true),
     ("--quarantine", true),
     ("--save-day", true),
@@ -305,10 +307,11 @@ fn cmd_generate(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Loads the trace (strict by default, quarantining with `--lenient`)
-/// plus the optional Whois registry. The third element is the ingest
-/// report when lenient mode ran. Records a `stage/ingest` timing plus
-/// `ingest/records` / `ingest/quarantined` counters into `metrics`.
+/// Loads the trace (strict by default, quarantining under a positive
+/// `--error-budget`) plus the optional Whois registry. The third element
+/// is the ingest report of a raw trace (`None` for a preprocessed day).
+/// Records a `stage/ingest` timing plus `ingest/records` /
+/// `ingest/quarantined` counters into `metrics`.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -348,52 +351,49 @@ fn load(
     }
     let path = positional.ok_or("missing trace path")?;
     let ingest_span = metrics.span("stage/ingest");
-    let lenient = args.iter().any(|a| a == "--lenient");
-    let (records, ingest) = if lenient {
-        let mut opts = IngestOptions::default().with_quarantine(
-            flag_value(args, "--quarantine").unwrap_or(&format!("{path}.quarantine")),
-        );
-        if let Some(b) = flag_value(args, "--error-budget") {
-            opts = opts.with_error_budget(b.parse()?);
+    let budget: f64 = flag_value(args, "--error-budget").unwrap_or("0").parse()?;
+    if !(0.0..=1.0).contains(&budget) {
+        return Err(UsageError(format!(
+            "`--error-budget` must be within [0, 1], got {budget}"
+        ))
+        .into());
+    }
+    let mut opts = IngestOptions::default().with_error_budget(budget);
+    // A strict run never writes beside the trace unless asked to.
+    match flag_value(args, "--quarantine") {
+        Some(q) => opts = opts.with_quarantine(q),
+        None if budget > 0.0 => opts = opts.with_quarantine(format!("{path}.quarantine")),
+        None => {}
+    }
+    // A run deadline covers ingest too: the readers poll the token and
+    // abort instead of parsing past the deadline.
+    if let Some(ms) = flag_value(args, "--deadline-ms") {
+        let ms: u64 = ms.parse()?;
+        if ms > 0 {
+            opts = opts.with_cancel(smash::support::governor::CancelToken::with_deadline_ms(ms));
         }
-        // A run deadline covers ingest too: the lenient readers poll
-        // the token and abort instead of parsing past the deadline.
-        if let Some(ms) = flag_value(args, "--deadline-ms") {
-            let ms: u64 = ms.parse()?;
-            if ms > 0 {
-                opts =
-                    opts.with_cancel(smash::support::governor::CancelToken::with_deadline_ms(ms));
-            }
-        }
-        let (records, report) = if path.ends_with(".smsh") {
-            smash::trace::binary::read_binary_lenient_file(path, &opts)?
-        } else {
-            io::read_jsonl_lenient_file(path, &opts)?
-        };
-        if report.bad_lines() > 0 {
-            eprintln!(
-                "note: quarantined {} of {} lines ({} oversized, {} bad JSON, {} bad IP, {} bad field)",
-                report.bad_lines(),
-                report.lines,
-                report.oversized,
-                report.bad_json,
-                report.bad_ip,
-                report.bad_field
-            );
-        }
-        (records, Some(report))
+    }
+    let file = std::fs::File::open(path)?;
+    let (records, report) = if path.ends_with(".smsh") {
+        smash::trace::binary::read_binary_lenient(file, &opts)?
     } else {
-        let records = if path.ends_with(".smsh") {
-            smash::trace::binary::read_binary_file(path)?
-        } else {
-            io::read_jsonl_file(path)?
-        };
-        (records, None)
+        io::read_jsonl_lenient(file, &opts)?
     };
+    if report.bad_lines() > 0 {
+        eprintln!(
+            "note: quarantined {} of {} lines ({} oversized, {} bad JSON, {} bad IP, {} bad field)",
+            report.bad_lines(),
+            report.lines,
+            report.oversized,
+            report.bad_json,
+            report.bad_ip,
+            report.bad_field
+        );
+    }
     metrics.counter("ingest/records").add(records.len() as u64);
     metrics
         .counter("ingest/quarantined")
-        .add(ingest.as_ref().map_or(0, |r| r.bad_lines() as u64));
+        .add(report.bad_lines() as u64);
     let dataset = TraceDataset::from_records(records);
     metrics
         .counter("ingest/arena_bytes")
@@ -403,7 +403,7 @@ fn load(
         smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
         eprintln!("note: saved preprocessed day to {out}");
     }
-    Ok((dataset, whois()?, ingest))
+    Ok((dataset, whois()?, Some(report)))
 }
 
 fn cmd_preprocess(args: &[String]) -> CliResult {

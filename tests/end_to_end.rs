@@ -1,7 +1,11 @@
 //! End-to-end integration: the full pipeline over generated scenarios.
 
 use smash::core::{Smash, SmashConfig};
+use smash::support::json::{self, FromJson};
 use smash::synth::Scenario;
+use smash::trace::IngestReport;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 #[test]
 fn small_day_recovers_planted_cnc_campaigns() {
@@ -154,4 +158,116 @@ fn facade_reexports_compose() {
     // a.evil.biz and b.evil.biz aggregate to the single second-level
     // domain evil.biz during preprocessing.
     assert_eq!(report.kept_servers, 1);
+}
+
+/// A generated clean trace and a dirty copy with three malformed lines
+/// appended (bad JSON, a bad IP, invalid UTF-8). Returns the directory,
+/// both paths, and the clean trace's line count.
+fn dirty_trace_fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf, usize) {
+    let dir = std::env::temp_dir().join(format!("smash-e2e-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.jsonl");
+    let dirty = dir.join("dirty.jsonl");
+    let gen = smash_cli()
+        .args(["generate", "small", clean.to_str().unwrap(), "--seed", "42"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success(), "generate failed: {gen:?}");
+    let mut bytes = std::fs::read(&clean).unwrap();
+    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+    bytes.extend_from_slice(b"{broken\n");
+    bytes.extend_from_slice(
+        br#"{"timestamp":0,"client":"c","host":"h","server_ip":"999.1.2.3","method":"GET","uri":"/","user_agent":"","referrer":null,"status":200,"redirect_to":null}"#,
+    );
+    bytes.extend_from_slice(b"\n\xff\xfe\n");
+    std::fs::write(&dirty, bytes).unwrap();
+    (dir, clean, dirty, lines)
+}
+
+fn smash_cli() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_smash"))
+}
+
+fn sidecar(trace: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.quarantine", trace.display()))
+}
+
+#[test]
+fn cli_default_budget_rejects_a_dirty_trace_at_its_first_bad_line() {
+    let (dir, _, dirty, lines) = dirty_trace_fixture("strict");
+    let out = smash_cli()
+        .args(["analyze", dirty.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("jsonl line {}: bad-json", lines + 1);
+    assert!(stderr.contains(&want), "want `{want}`, got: {stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(!sidecar(&dirty).exists(), "a strict run writes no sidecar");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_error_budget_ingests_a_dirty_trace_like_the_clean_one() {
+    let (dir, clean, dirty, lines) = dirty_trace_fixture("budget");
+    let report = dir.join("report.json");
+    let analyze = |trace: &Path, extra: &[&str]| {
+        let out = smash_cli()
+            .args(["analyze", trace.to_str().unwrap()])
+            .args(["--json", report.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "analyze failed: {out:?}");
+        out.stdout
+    };
+    let clean_stdout = analyze(&clean, &[]);
+    let dirty_stdout = analyze(&dirty, &["--error-budget", "0.05"]);
+    assert_eq!(clean_stdout, dirty_stdout);
+
+    let spilled = std::fs::read(sidecar(&dirty)).unwrap();
+    assert_eq!(spilled.iter().filter(|&&b| b == b'\n').count(), 3);
+    assert!(spilled.starts_with(b"{broken\n"));
+
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let ingest = doc.get("health").and_then(|h| h.get("ingest")).unwrap();
+    let expected = IngestReport {
+        lines: lines + 3,
+        records: lines,
+        bad_json: 2,
+        bad_ip: 1,
+        quarantined: 3,
+        ..IngestReport::default()
+    };
+    assert_eq!(IngestReport::from_json(ingest).unwrap(), expected);
+
+    // `--quarantine` names the sidecar under any positive budget.
+    let named = dir.join("named.quarantine");
+    let out = smash_cli()
+        .args(["stats", dirty.to_str().unwrap(), "--error-budget", "0.5"])
+        .args(["--quarantine", named.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stats failed: {out:?}");
+    assert_eq!(std::fs::read(&named).unwrap(), spilled);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_ingest_usage_errors_exit_two() {
+    for (args, want) in [
+        (vec!["--lenient"], "unknown flag `--lenient`"),
+        (vec!["--error-budget", "NaN"], "must be within [0, 1]"),
+        (vec!["--error-budget", "1.5"], "must be within [0, 1]"),
+    ] {
+        let out = smash_cli()
+            .args(["stats", "trace.jsonl"])
+            .args(&args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
 }
