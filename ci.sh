@@ -28,11 +28,16 @@
 #                                             checkpoint boundary and resume,
 #                                             corrupt a snapshot — resumed
 #                                             reports must match cold ones
-#   6c. LSH recall smoke                      exact vs MinHash/LSH candidate
-#                                             generation must produce identical
-#                                             reports on the small scenario
-#                                             (DESIGN.md §10; the full ≥0.99
-#                                             recall gate runs in step 3)
+#   6c. LSH recall smoke                      the exact route must build the
+#                                             brute-force oracle's graphs and
+#                                             exact vs MinHash/LSH reports must
+#                                             be identical on the small
+#                                             scenario (DESIGN.md §10; the full
+#                                             ≥0.99 recall gate runs in step
+#                                             3); `smash analyze` of a
+#                                             generated day2011 trace must print
+#                                             byte-identical stdout with and
+#                                             without --exact
 #   6d. smash-bench --huge --quick            the streamed ISP-scale scenario
 #                                             ingests lazily and the pipeline
 #                                             completes (writes no file)
@@ -96,6 +101,16 @@ cargo run -q --release --offline -p smash-bench -- --chaos --quick
 
 echo "==> LSH recall smoke (exact vs LSH report identity, small scenario)"
 cargo test -q --offline --release --test lsh_recall small_scenario
+# The default route (each dimension picks exact or LSH by cost) and the
+# forced exact route must report the same campaigns on a paper-scale day.
+exact_dir="$(mktemp -d)"
+cargo run -q --release --offline --bin smash -- generate day2011 "$exact_dir/trace.jsonl" --seed 7
+cargo run -q --release --offline --bin smash -- analyze "$exact_dir/trace.jsonl" \
+    --whois "$exact_dir/trace.jsonl.whois.json" >"$exact_dir/auto.out"
+cargo run -q --release --offline --bin smash -- analyze "$exact_dir/trace.jsonl" \
+    --whois "$exact_dir/trace.jsonl.whois.json" --exact >"$exact_dir/exact.out"
+diff -u "$exact_dir/auto.out" "$exact_dir/exact.out"
+rm -rf "$exact_dir"
 
 echo "==> smash-bench --huge --quick (streamed ISP-scale smoke)"
 cargo run -q --release --offline -p smash-bench -- --huge --quick >/dev/null

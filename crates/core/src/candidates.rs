@@ -1,16 +1,26 @@
-//! Subquadratic candidate-pair generation via MinHash/LSH banding
-//! (DESIGN.md §10).
+//! Candidate-pair generation for the client and URI-file dimensions
+//! (DESIGN.md §10): the routing rule between exact candidates from
+//! postings and MinHash/LSH banding, and the LSH generator itself.
 //!
 //! The client (eq. 1) and URI-file (eqs. 2–7) dimensions both reduce to
 //! the same shape: every server owns a feature set (client ids, file
 //! ids), similarity is a monotone function of the sets' overlap, and an
 //! edge requires similarity above a threshold. Enumerating all `N²`
-//! pairs is the cost that dominated the benchmark; this module prunes
-//! the pair universe to plausibly-similar candidates while the
-//! dimensions keep scoring **exactly** with the paper's math — LSH only
-//! decides which pairs get scored, never what they score.
+//! pairs is never needed: only pairs that share a posting can score
+//! above zero. The dimensions keep scoring **exactly** with the paper's
+//! math — a candidate route only decides which pairs get scored, never
+//! what they score.
 //!
-//! Two complementary mechanisms cover the recall spectrum:
+//! **Routing.** The exact route is the sparse product `AᵀA` over the
+//! dimension's postings ([`smash_graph::CooccurrenceCounter`]): every
+//! co-occurring pair, with its shared-feature count, at a cost of
+//! `Σ C(|p|, 2)` pair visits that is known before any enumeration.
+//! [`exact_route`] takes it whenever that costs no more than the
+//! hashing LSH would do; otherwise — a posting long enough that its
+//! clique is the quadratic blowup — the LSH generator below runs.
+//!
+//! Within the LSH route, two complementary mechanisms cover the recall
+//! spectrum:
 //!
 //! * **Rare-feature exact enumeration**: every feature shared by at most
 //!   `rare_cap` servers contributes all its pairs directly. This is the
@@ -53,7 +63,7 @@
 //! synthetic features); ids are widened to `u64` at hash time, so the
 //! candidate output is independent of the carrier width.
 
-use crate::config::LshConfig;
+use crate::config::{CandidateRoute, LshConfig};
 use smash_support::governor::StageScope;
 use smash_support::par;
 use std::collections::HashMap;
@@ -518,10 +528,30 @@ fn push_clique(pairs: &mut Vec<(u32, u32)>, nodes: &[u32]) {
     }
 }
 
-/// Iterator over all unordered node pairs `(u, v)`, `u < v` — the
-/// brute-force pair universe `--exact` mode scores.
-pub fn all_pairs(n: usize) -> impl Iterator<Item = (u32, u32)> {
-    (0..n as u32).flat_map(move |u| (u + 1..n as u32).map(move |v| (u, v)))
+/// Whether a dimension takes the exact candidate route (DESIGN.md §10).
+///
+/// `pair_visits` is `Σ C(|p|, 2)` over the dimension's postings — the
+/// work of the exact co-occurrence product, known before any
+/// enumeration — and `posting_entries` is `Σ |p|`. LSH hashes every
+/// posting entry once per signature row, so under
+/// [`CandidateRoute::Auto`] the exact route is taken iff
+/// `pair_visits ≤ signature_len · posting_entries`: exact candidates
+/// never cost more than the hashing they replace, and a hostile posting
+/// (one crawler touching every server) tips the dimension back to LSH
+/// instead of buying quadratic CPU.
+pub fn exact_route(
+    route: CandidateRoute,
+    pair_visits: u64,
+    posting_entries: u64,
+    lsh: &LshConfig,
+) -> bool {
+    match route {
+        CandidateRoute::Auto => {
+            pair_visits <= (lsh.signature_len() as u64).saturating_mul(posting_entries)
+        }
+        CandidateRoute::Exact => true,
+        CandidateRoute::Lsh => false,
+    }
 }
 
 /// `n·(n−1)/2` — the size of the all-pairs universe over `n` nodes.
@@ -747,13 +777,24 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_enumerates_the_triangle() {
-        let pairs: Vec<(u32, u32)> = all_pairs(4).collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+    fn pair_universe_is_the_triangle() {
         assert_eq!(pair_universe(4), 6);
         assert_eq!(pair_universe(0), 0);
         assert_eq!(pair_universe(1), 0);
-        assert!(all_pairs(0).next().is_none());
+    }
+
+    #[test]
+    fn routing_rule_sits_at_the_hashing_cost() {
+        let lsh = LshConfig::default(); // signature length 64
+        let route = |r, visits, entries| exact_route(r, visits, entries, &lsh);
+        // Auto: exact up to and including 64 visits per posting entry.
+        assert!(route(CandidateRoute::Auto, 6_400, 100));
+        assert!(!route(CandidateRoute::Auto, 6_401, 100));
+        assert!(route(CandidateRoute::Auto, 0, 0));
+        assert!(!route(CandidateRoute::Auto, 1, 0));
+        // The forced routes ignore the costs.
+        assert!(route(CandidateRoute::Exact, u64::MAX, 1));
+        assert!(!route(CandidateRoute::Lsh, 0, 100));
     }
 
     #[test]

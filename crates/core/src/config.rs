@@ -1,6 +1,6 @@
 //! Pipeline configuration with the paper's published defaults.
 
-use smash_support::impl_json_struct;
+use smash_support::{impl_json_enum, impl_json_struct};
 use std::fmt;
 
 /// A configuration rejected by [`SmashConfig::validate`].
@@ -65,6 +65,25 @@ impl LshConfig {
         self.bands.saturating_mul(self.rows)
     }
 }
+
+/// How the client and URI-file dimensions pick their candidate pairs
+/// (DESIGN.md §10). Every route scores its candidates with the same
+/// exact paper equations; they differ only in which pairs get scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CandidateRoute {
+    /// Exact candidates from postings when their pair visits cost no
+    /// more than the hashing LSH would do, MinHash/LSH otherwise.
+    #[default]
+    Auto,
+    /// Always exact candidates from postings (CLI `--exact`): the same
+    /// graphs as brute-force all-pairs scoring, at a cost quadratic in
+    /// the longest posting.
+    Exact,
+    /// Always MinHash/LSH — the route the recall gate measures.
+    Lsh,
+}
+
+impl_json_enum!(CandidateRoute { Auto, Exact, Lsh });
 
 /// Configuration of the SMASH pipeline.
 ///
@@ -162,12 +181,12 @@ pub struct SmashConfig {
     /// the pipeline runs. Empty = none. Fault injection for resilience
     /// tests; never set this in production.
     pub failpoints: String,
-    /// Force brute-force all-pairs candidate enumeration in the client
-    /// and URI-file dimensions instead of MinHash/LSH. Quadratic in the
-    /// number of kept servers — the ground-truth oracle the LSH recall
-    /// suite compares against, and an escape hatch for small traces.
-    pub exact_candidates: bool,
-    /// MinHash/LSH banding knobs (ignored when `exact_candidates`).
+    /// Candidate route of the client and URI-file dimensions: exact
+    /// from postings, MinHash/LSH, or (the default) whichever is cheaper
+    /// on the input.
+    pub candidate_route: CandidateRoute,
+    /// MinHash/LSH banding knobs (read by the LSH route, and by the
+    /// `Auto` route's cost rule).
     pub lsh: LshConfig,
 }
 
@@ -196,7 +215,7 @@ impl_json_struct!(SmashConfig {
     pruning_enabled,
     dimension_budget_ms?,
     failpoints?,
-    exact_candidates?,
+    candidate_route?,
     lsh?,
 });
 
@@ -227,7 +246,7 @@ impl Default for SmashConfig {
             pruning_enabled: true,
             dimension_budget_ms: 0,
             failpoints: String::new(),
-            exact_candidates: false,
+            candidate_route: CandidateRoute::Auto,
             lsh: LshConfig::default(),
         }
     }
@@ -314,10 +333,9 @@ impl SmashConfig {
         self
     }
 
-    /// Forces brute-force all-pairs candidate enumeration (the LSH
-    /// recall oracle) instead of MinHash/LSH.
-    pub fn with_exact_candidates(mut self, on: bool) -> Self {
-        self.exact_candidates = on;
+    /// Sets the candidate route of the client and URI-file dimensions.
+    pub fn with_candidate_route(mut self, route: CandidateRoute) -> Self {
+        self.candidate_route = route;
         self
     }
 
@@ -516,7 +534,7 @@ mod tests {
         json = json
             .replace(r#","dimension_budget_ms":0"#, "")
             .replace(r#","failpoints":"""#, "")
-            .replace(r#","exact_candidates":false"#, "");
+            .replace(r#","candidate_route":"Auto""#, "");
         let lsh_json = format!(
             r#","lsh":{}"#,
             smash_support::json::to_string(&LshConfig::default())
@@ -530,7 +548,7 @@ mod tests {
     #[test]
     fn lsh_defaults_and_validation() {
         let c = SmashConfig::default();
-        assert!(!c.exact_candidates);
+        assert_eq!(c.candidate_route, CandidateRoute::Auto);
         assert_eq!(c.lsh.bands, 64);
         assert_eq!(c.lsh.rows, 1);
         assert_eq!(c.lsh.signature_len(), 64);
@@ -545,10 +563,30 @@ mod tests {
         c.lsh.bucket_cap = 1;
         assert!(c.validate().unwrap_err().to_string().contains("bucket_cap"));
         let c = SmashConfig::default()
-            .with_exact_candidates(true)
+            .with_candidate_route(CandidateRoute::Exact)
             .with_lsh_bands(32, 2);
         c.validate().unwrap();
-        assert!(c.exact_candidates);
+        assert_eq!(c.candidate_route, CandidateRoute::Exact);
         assert_eq!(c.lsh.signature_len(), 64);
+    }
+
+    #[test]
+    fn candidate_route_round_trips_and_the_old_boolean_is_ignored() {
+        for route in [
+            CandidateRoute::Auto,
+            CandidateRoute::Exact,
+            CandidateRoute::Lsh,
+        ] {
+            let c = SmashConfig::default().with_candidate_route(route);
+            let json = smash_support::json::to_string(&c);
+            let back: SmashConfig = smash_support::json::from_str(&json).unwrap();
+            assert_eq!(back.candidate_route, route);
+        }
+        // `exact_candidates: true` (the removed brute-force switch) is
+        // no field any more: such a config loads with the default route.
+        let json = smash_support::json::to_string(&SmashConfig::default())
+            .replace(r#""candidate_route":"Auto""#, r#""exact_candidates":true"#);
+        let c: SmashConfig = smash_support::json::from_str(&json).unwrap();
+        assert_eq!(c.candidate_route, CandidateRoute::Auto);
     }
 }

@@ -5,36 +5,28 @@
 //! Malicious servers of one campaign are contacted by the same small set
 //! of infected clients; benign servers serve diverse crowds.
 //!
-//! Candidate pairs come from the MinHash/LSH layer over per-server
-//! client-ID sets (DESIGN.md §10); each candidate is then scored
-//! **exactly** by eq. 1 over the full sorted client lists, so LSH only
-//! prunes the pair universe, never changes a weight. Setting
-//! `SmashConfig::exact_candidates` scores every pair instead (the
-//! recall oracle).
+//! Only pairs sharing a client can score above zero. When the pair
+//! visits of the client → server postings cost no more than MinHash
+//! hashing (DESIGN.md §10), candidates come exactly from the sparse
+//! co-occurrence product, which also yields `|Ci∩Cj|` — the graph brute
+//! force would build. Otherwise (one client touching a huge share of the
+//! servers) they come from the MinHash/LSH layer over per-server client
+//! sets and each is scored by a sorted-list intersection. Either way the
+//! weight is the exact eq. 1, so the route only decides which pairs get
+//! scored, never what they score.
 
-use super::{instrumented_builder, overlap_product, Dimension, DimensionContext, DimensionKind};
+use super::{
+    instrumented_builder, overlap_product, sorted_intersection_len, Dimension, DimensionContext,
+    DimensionKind,
+};
 use crate::candidates;
 use smash_graph::Graph;
 use smash_support::par;
+use std::collections::HashMap;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
 pub struct ClientDimension;
-
-/// Size of the sorted intersection of two sorted, deduplicated slices.
-/// Index-based two-pointer merge: this runs once per scored candidate
-/// pair, so it stays branch-light instead of juggling peekable
-/// iterators.
-fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
-    let mut shared = 0;
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        shared += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    shared
-}
 
 impl Dimension for ClientDimension {
     fn kind(&self) -> DimensionKind {
@@ -67,43 +59,48 @@ impl Dimension for ClientDimension {
             let eligible = feature_sets.iter().filter(|s| !s.is_empty()).count();
             funnel.pairs_considered = candidates::pair_universe(eligible);
 
-            // Exact eq. 1 score of one node pair; `None` below threshold
+            // Inverted index client → eligible nodes. Nodes are visited in
+            // order, so every posting is ascending.
+            let mut by_client: HashMap<u32, Vec<u32>> = HashMap::new();
+            for (node, clients) in feature_sets.iter().enumerate() {
+                for &c in *clients {
+                    by_client.entry(c).or_default().push(node as u32);
+                }
+            }
+            let exact = super::route_exact(ctx, funnel, &by_client, 0);
+
+            // eq. 1 from the shared-client count; `None` below threshold
             // or when either side is ineligible.
-            let score = |u: u32, v: u32| -> Option<f64> {
+            let edge = |u: u32, v: u32, shared: usize| -> Option<f64> {
                 let (su, sv) = (ctx.server_at(u)?, ctx.server_at(v)?);
                 let (cu, cv) = (ctx.dataset.clients_of(su), ctx.dataset.clients_of(sv));
                 if cu.len() < 2 || cv.len() < 2 {
                     return None;
                 }
-                let shared = sorted_intersection_len(cu, cv);
                 let sim = overlap_product(shared, cu.len(), cv.len());
                 (sim >= ctx.config.client_edge_min).then_some(sim)
             };
 
-            if ctx.config.exact_candidates {
-                // Brute force: score the whole pair universe, one node's
-                // upper triangle per parallel task.
-                let rows: Vec<u32> = (0..ctx.nodes.len() as u32).collect();
-                let per_node: Vec<Vec<(u32, f64)>> =
-                    par::par_map_cancellable(&rows, scope.token(), |&u| {
-                        (u + 1..ctx.nodes.len() as u32)
-                            .filter_map(|v| score(u, v).map(|s| (v, s)))
-                            .collect()
-                    });
-                funnel.postings = feature_sets
-                    .iter()
-                    .flat_map(|s| s.iter())
-                    .collect::<std::collections::HashSet<_>>()
-                    .len() as u64;
-                funnel.pairs_bucketed = funnel.pairs_considered;
-                funnel.pairs_scored = candidates::pair_universe(ctx.nodes.len());
-                for (u, edges) in per_node.into_iter().enumerate() {
-                    for (v, sim) in edges {
-                        builder.add_edge(u as u32, v, sim);
+            if exact {
+                // Every pair sharing a client, with |Ci∩Cj| counted by the
+                // product itself: the brute-force graph, since a pair with
+                // no shared client scores 0.
+                funnel.postings = by_client.len() as u64;
+                let rows = super::exact_rows(scope, by_client, Vec::new());
+                funnel.pairs_bucketed = rows.len() as u64;
+                funnel.pairs_scored = rows.len() as u64;
+                for (i, &(u, v, shared)) in rows.iter().enumerate() {
+                    if i % 1024 == 0 {
+                        scope.tick();
+                    }
+                    if let Some(sim) = edge(u, v, shared as usize) {
+                        builder.add_edge(u, v, sim);
                         funnel.edges += 1;
                     }
                 }
+                scope.release(rows.len() as u64 * 12);
             } else {
+                drop(by_client);
                 let (pairs, stats) = candidates::lsh_candidates_governed(
                     &feature_sets,
                     &ctx.config.lsh,
@@ -112,7 +109,13 @@ impl Dimension for ClientDimension {
                 funnel.postings = stats.features;
                 funnel.pairs_bucketed = stats.pairs;
                 funnel.pairs_scored = pairs.len() as u64;
-                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
+                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| {
+                    let shared = sorted_intersection_len(
+                        feature_sets.get(u as usize)?,
+                        feature_sets.get(v as usize)?,
+                    );
+                    edge(u, v, shared)
+                });
                 for (&(u, v), sim) in pairs.iter().zip(scores) {
                     if let Some(sim) = sim {
                         builder.add_edge(u, v, sim);
@@ -130,7 +133,8 @@ impl Dimension for ClientDimension {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SmashConfig;
+    use crate::config::{CandidateRoute, SmashConfig};
+    use smash_support::metrics::Registry;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
     use std::collections::HashMap;
@@ -144,6 +148,15 @@ mod tests {
     }
 
     fn build(ds: &TraceDataset, whois: &WhoisRegistry, config: &SmashConfig) -> Graph {
+        build_metered(ds, whois, config, &Registry::new())
+    }
+
+    fn build_metered(
+        ds: &TraceDataset,
+        whois: &WhoisRegistry,
+        config: &SmashConfig,
+        metrics: &Registry,
+    ) -> Graph {
         let nodes: Vec<u32> = ds.server_ids().collect();
         let node_of: HashMap<u32, u32> = nodes
             .iter()
@@ -156,16 +169,9 @@ mod tests {
             config,
             nodes: &nodes,
             node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
+            metrics,
             governor: smash_support::governor::Governor::unlimited(),
         })
-    }
-
-    #[test]
-    fn sorted_intersection_counts() {
-        assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
-        assert_eq!(sorted_intersection_len(&[], &[1]), 0);
-        assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
     }
 
     #[test]
@@ -262,12 +268,52 @@ mod tests {
                 ));
             }
         }
-        let (ds, w, lsh_cfg) = ctx_parts(records);
-        let exact_cfg = lsh_cfg.clone().with_exact_candidates(true);
+        let (ds, w, cfg) = ctx_parts(records);
+        let lsh_cfg = cfg.clone().with_candidate_route(CandidateRoute::Lsh);
+        let exact_cfg = cfg.with_candidate_route(CandidateRoute::Exact);
         let g_lsh = build(&ds, &w, &lsh_cfg);
         let g_exact = build(&ds, &w, &exact_cfg);
         let edges = |g: &Graph| g.edges().collect::<Vec<_>>();
         assert_eq!(edges(&g_lsh), edges(&g_exact));
         assert!(g_lsh.edge_count() > 0, "overlapping servers must connect");
+    }
+
+    /// `servers` servers each visited by the same two clients: two
+    /// postings of length `servers`, so `P = 2·C(servers, 2)` pair
+    /// visits against `2·servers` posting entries.
+    fn crowd(servers: u32) -> Vec<HttpRecord> {
+        (0..servers)
+            .flat_map(|s| {
+                ["x", "y"].map(|c| {
+                    HttpRecord::new(0, c, &format!("s{s}.com"), &format!("1.1.1.{s}"), "/")
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn routing_rule_on_both_sides_of_the_boundary() {
+        // Signature length 1: exact iff P ≤ Σ|p|. Three servers sit on
+        // the boundary (P = 6 = Σ|p|), four are past it (P = 12 > 8).
+        let cfg = SmashConfig::default().with_lsh_bands(1, 1);
+        for (servers, visits, exact) in [(3, 6, 1), (4, 12, 0)] {
+            let (ds, w, _) = ctx_parts(crowd(servers));
+            let m = Registry::new();
+            let g = build_metered(&ds, &w, &cfg, &m);
+            assert_eq!(m.counter("dim/client/exact_pair_visits").get(), visits);
+            assert_eq!(m.counter("dim/client/route_exact").get(), exact);
+            // Either route scores every pair of the crowd at 1.0.
+            assert_eq!(
+                g.edge_count() as u64,
+                candidates::pair_universe(servers as usize)
+            );
+            assert!(g.edges().all(|(_, _, w)| w == 1.0));
+            let scored = m.counter("dim/client/pairs_scored").get();
+            if exact == 1 {
+                // The exact route scores the distinct co-occurring pairs.
+                assert_eq!(scored, m.counter("dim/client/pairs_bucketed").get());
+                assert_eq!(scored, candidates::pair_universe(servers as usize));
+            }
+        }
     }
 }

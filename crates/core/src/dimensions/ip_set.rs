@@ -37,9 +37,9 @@ impl Dimension for IpSetDimension {
             for (_, servers) in by_ip {
                 counter.add_posting(servers);
             }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), shared) in counts {
+            let counts = counter.counts(scope.token());
+            scope.charge(counts.len() as u64 * 12);
+            for (u, v, shared) in counts {
                 funnel.pairs_scored += 1;
                 if funnel.pairs_scored % 1024 == 0 {
                     scope.tick();

@@ -4,12 +4,15 @@
 //! the servers that survived preprocessing — so that herds from different
 //! dimensions can be intersected directly during correlation.
 //!
-//! Candidate pairs are never enumerated quadratically: the client and
-//! URI-file dimensions route through the MinHash/LSH layer
-//! ([`crate::candidates`], DESIGN.md §10) unless
-//! `SmashConfig::exact_candidates` forces the brute-force oracle, and
-//! the remaining dimensions use an inverted index
-//! ([`smash_graph::CooccurrenceCounter`]).
+//! Candidate pairs are never enumerated quadratically. Every dimension
+//! builds an inverted index (feature → nodes) and only pairs sharing a
+//! posting are scored. The IP-set, Whois and extension dimensions take
+//! their pairs from the sparse co-occurrence product
+//! ([`smash_graph::CooccurrenceCounter`]) over length-capped postings.
+//! The client and URI-file dimensions take the same uncapped product
+//! when its pair visits cost no more than MinHash/LSH hashing would, and
+//! the LSH layer otherwise ([`crate::candidates`], DESIGN.md §10;
+//! `SmashConfig::candidate_route` can force either route).
 
 pub mod client;
 pub mod ip_set;
@@ -19,8 +22,9 @@ pub mod timing;
 pub mod uri_file;
 pub mod whois;
 
+use crate::candidates;
 use crate::config::SmashConfig;
-use smash_graph::{Graph, GraphBuilder};
+use smash_graph::{Cooccurrence, CooccurrenceCounter, Graph, GraphBuilder};
 use smash_support::governor::{Governor, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
@@ -188,6 +192,65 @@ where
     }
 }
 
+/// The candidate routing rule (DESIGN.md §10) over a dimension's
+/// postings plus one `extra` posting of `extra_len` nodes (the URI-file
+/// dimension's long-name servers, which add pair visits but are not
+/// hashed by LSH). Records the decision on the funnel and returns
+/// whether to take the exact route.
+pub(crate) fn route_exact<K>(
+    ctx: &DimensionContext<'_>,
+    funnel: &mut BuilderFunnel,
+    postings: &HashMap<K, Vec<u32>>,
+    extra_len: usize,
+) -> bool {
+    // lint:allow(hash-iter): order-independent sums.
+    let (visits, entries) = postings.values().fold((0, 0), |(p, e), nodes| {
+        (
+            p + candidates::pair_universe(nodes.len()),
+            e + nodes.len() as u64,
+        )
+    });
+    let visits = visits + candidates::pair_universe(extra_len);
+    let exact =
+        candidates::exact_route(ctx.config.candidate_route, visits, entries, &ctx.config.lsh);
+    funnel.route = Some((visits, exact));
+    exact
+}
+
+/// The exact candidate route's product (DESIGN.md §10): charges the
+/// postings through [`govern_postings`] (which sheds the longest first
+/// past the soft budget), adds `extra` as one more posting, and counts
+/// every co-occurring node pair under the stage's cancellation token.
+/// The postings are released once counted; the rows stay charged (12
+/// bytes each) until the caller has scored them and releases them
+/// before its edge charge lands.
+pub(crate) fn exact_rows<K>(
+    scope: &StageScope,
+    mut postings: HashMap<K, Vec<u32>>,
+    extra: Vec<u32>,
+) -> Vec<Cooccurrence>
+where
+    K: Clone + Ord + std::hash::Hash + fmt::Display,
+{
+    scope.tick();
+    scope.charge(extra.len() as u64 * 4);
+    govern_postings(scope, &mut postings);
+    // lint:allow(hash-iter): summing byte counts is order-independent.
+    let entries: u64 = postings.values().map(|v| v.len() as u64).sum();
+    let posting_bytes = (entries + extra.len() as u64) * 4;
+    let mut counter = CooccurrenceCounter::new();
+    // lint:allow(hash-iter): the product's rows are sorted whatever the posting order.
+    for (_, nodes) in postings {
+        counter.add_posting(nodes);
+    }
+    counter.add_posting(extra);
+    let rows = counter.counts(scope.token());
+    drop(counter);
+    scope.release(posting_bytes);
+    scope.charge(rows.len() as u64 * 12);
+    rows
+}
+
 /// Reports one builder's standard `dim/<kind>/*` metrics in a single
 /// batch (one registry lock per name, after the hot loops).
 pub(crate) fn record_dimension_metrics(
@@ -207,29 +270,38 @@ pub(crate) fn record_dimension_metrics(
     m.counter(&format!("dim/{kind}/pairs_pruned"))
         .add(funnel.pairs_scored - funnel.edges);
     m.counter(&format!("dim/{kind}/edges")).add(funnel.edges);
+    if let Some((visits, exact)) = funnel.route {
+        m.counter(&format!("dim/{kind}/exact_pair_visits"))
+            .add(visits);
+        m.counter(&format!("dim/{kind}/route_exact"))
+            .add(u64::from(exact));
+    }
     m.gauge(&format!("dim/{kind}/nodes"))
         .set(ctx.nodes.len() as f64);
 }
 
 /// The funnel counters every builder reports: how many inverted-index
 /// postings it processed, the candidate funnel from the all-pairs
-/// universe through LSH bucketing down to the pairs actually scored,
-/// and how many edges survived the similarity threshold. Dimensions
-/// still routed through a plain co-occurrence counter leave the LSH
-/// stages (`pairs_considered`, `pairs_bucketed`) equal to
-/// `pairs_scored`'s upstream defaults (zero).
+/// universe through candidate generation down to the pairs actually
+/// scored, and how many edges survived the similarity threshold.
+/// Dimensions without a candidate route leave `pairs_considered`,
+/// `pairs_bucketed` and `route` at their defaults (zero, zero, `None`).
 #[derive(Debug, Default)]
 pub(crate) struct BuilderFunnel {
     /// Inverted-index postings (distinct features) processed.
     pub postings: u64,
     /// Size of the brute-force pair universe over nodes with features.
     pub pairs_considered: u64,
-    /// Candidate pairs surviving LSH bucketing (deduplicated).
+    /// Candidate pairs proposed (deduplicated): by LSH bucketing, or on
+    /// the exact route the distinct co-occurring pairs.
     pub pairs_bucketed: u64,
     /// Candidate pairs scored.
     pub pairs_scored: u64,
     /// Edges that survived the threshold.
     pub edges: u64,
+    /// Candidate routing (client and URI-file only): the exact route's
+    /// pair visits `Σ C(|p|, 2)`, and whether the route was taken.
+    pub route: Option<(u64, bool)>,
 }
 
 /// The one canonical instrumentation frame around every dimension
@@ -301,6 +373,21 @@ pub trait Dimension: Send + Sync {
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph;
 }
 
+/// Size of the sorted intersection of two sorted, deduplicated slices.
+/// Index-based two-pointer merge: this runs once per scored candidate
+/// pair, so it stays branch-light instead of juggling peekable
+/// iterators.
+pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
+    let mut shared = 0;
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        shared += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    shared
+}
+
 /// Jaccard-style set products used by eqs. 1 and 8:
 /// `(|A∩B| / |A|) · (|A∩B| / |B|)`.
 pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 {
@@ -320,6 +407,13 @@ mod tests {
         assert_eq!(overlap_product(0, 5, 5), 0.0);
         assert_eq!(overlap_product(1, 0, 5), 0.0);
         assert!((overlap_product(1, 2, 4) - 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sorted_intersection_counts() {
+        assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
+        assert_eq!(sorted_intersection_len(&[], &[1]), 0);
+        assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
     }
 
     #[test]

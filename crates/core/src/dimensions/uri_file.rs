@@ -7,13 +7,21 @@
 //! two directed matched-fraction terms:
 //! `File(Si,Sj) = (matchedᵢ/|Fᵢ|) · (matchedⱼ/|Fⱼ|)`.
 //!
-//! Candidate pairs come from the MinHash/LSH layer (DESIGN.md §10) over
-//! each server's file-id set extended with charset-bucket keys for long
-//! (obfuscated) names — the same fuzzy buckets the inverted index used,
-//! folded into the signature space. Scoring stays the exact eqs. 2–7;
-//! `SmashConfig::exact_candidates` scores every pair instead.
+//! A pair scores above zero only if it shares a file id or both servers
+//! have long names. When the pair visits of those candidates — the
+//! file → server postings plus every pair of long-name servers — cost no
+//! more than MinHash hashing (DESIGN.md §10), they are enumerated
+//! exactly by the sparse co-occurrence product, which gives the graph
+//! brute force would build. Otherwise candidates come from the
+//! MinHash/LSH layer over each server's file-id set extended with
+//! charset-bucket keys for long (obfuscated) names — the same fuzzy
+//! buckets the inverted index used, folded into the signature space.
+//! Scoring stays the exact eqs. 2–7 on either route: a two-pointer
+//! intersection of the sorted file lists plus the charset cosines.
 
-use super::{instrumented_builder, Dimension, DimensionContext, DimensionKind};
+use super::{
+    instrumented_builder, sorted_intersection_len, Dimension, DimensionContext, DimensionKind,
+};
 use crate::candidates;
 use smash_graph::Graph;
 use smash_support::par;
@@ -24,9 +32,11 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, Default)]
 pub struct UriFileDimension;
 
-struct NodeFiles {
-    files: Vec<u32>,
-    set: HashSet<u32>,
+/// One node's file inventory: its sorted file ids (borrowed from the
+/// arena's postings) and the subset with long names.
+struct NodeFiles<'a> {
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    files: &'a [u32],
     long: Vec<u32>,
 }
 
@@ -39,13 +49,16 @@ impl Dimension for UriFileDimension {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
             let len_thresh = ctx.config.filename_len_threshold;
 
-            // Per-node file inventories and charset vectors for long names.
-            let mut node_files: Vec<NodeFiles> = Vec::with_capacity(ctx.nodes.len());
+            // Per-node file inventories and charset vectors for long
+            // names, plus the inverted index file → nodes (ascending:
+            // nodes are visited in order) and the long-name servers.
+            let mut node_files: Vec<NodeFiles<'_>> = Vec::with_capacity(ctx.nodes.len());
             let mut long_vectors: HashMap<u32, [f64; 256]> = HashMap::new();
-            for &server in ctx.nodes {
+            let mut by_file: HashMap<u32, Vec<u32>> = HashMap::new();
+            let mut long_servers: Vec<u32> = Vec::new();
+            for (node, &server) in ctx.nodes.iter().enumerate() {
                 scope.tick();
-                let files = ctx.dataset.files_of(server).to_vec();
-                let set: HashSet<u32> = files.iter().copied().collect();
+                let files = ctx.dataset.files_of(server);
                 let long: Vec<u32> = files
                     .iter()
                     .copied()
@@ -56,29 +69,21 @@ impl Dimension for UriFileDimension {
                         .entry(f)
                         .or_insert_with(|| charset_vector(ctx.dataset.file_name(f)));
                 }
-                node_files.push(NodeFiles { files, set, long });
+                for &f in files {
+                    by_file.entry(f).or_default().push(node as u32);
+                }
+                if !long.is_empty() {
+                    long_servers.push(node as u32);
+                }
+                node_files.push(NodeFiles { files, long });
             }
-
-            // Feature sets: exact file ids, plus one namespaced charset
-            // key per long name (names over the same alphabet share the
-            // feature — the old fuzzy bucket, folded into the MinHash
-            // space).
-            let feature_sets: Vec<Vec<u64>> = node_files
-                .iter()
-                .map(|nf| {
-                    let mut feats: Vec<u64> = nf.files.iter().map(|&f| u64::from(f)).collect();
-                    feats.extend(
-                        nf.long
-                            .iter()
-                            .map(|&f| charset_feature(ctx.dataset.file_name(f))),
-                    );
-                    feats.sort_unstable();
-                    feats.dedup();
-                    feats
-                })
-                .collect();
-            let eligible = feature_sets.iter().filter(|s| !s.is_empty()).count();
+            let eligible = node_files.iter().filter(|nf| !nf.files.is_empty()).count();
             funnel.pairs_considered = candidates::pair_universe(eligible);
+
+            // Exact-route candidates: every pair sharing a file id, plus
+            // every pair of long-name servers (the only pairs eq. 6 can
+            // match without a shared id).
+            let exact = super::route_exact(ctx, funnel, &by_file, long_servers.len());
 
             // Exact eqs. 2–7 score of one node pair; `None` below the
             // threshold or when no file matches.
@@ -89,14 +94,13 @@ impl Dimension for UriFileDimension {
                 if nu.files.is_empty() || nv.files.is_empty() {
                     return None;
                 }
+                let shared = sorted_intersection_len(nu.files, nv.files);
                 // Cheap zero-score shortcut: with no long names on one
                 // side, only exact id matches can contribute.
-                if (nu.long.is_empty() || nv.long.is_empty())
-                    && !nu.files.iter().any(|f| nv.set.contains(f))
-                {
+                if shared == 0 && (nu.long.is_empty() || nv.long.is_empty()) {
                     return None;
                 }
-                let (mu, mv) = matched_counts(nu, nv, &long_vectors, cos_thresh);
+                let (mu, mv) = matched_counts(shared, nu, nv, &long_vectors, cos_thresh);
                 if mu == 0 {
                     return None;
                 }
@@ -104,28 +108,35 @@ impl Dimension for UriFileDimension {
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             };
 
-            if ctx.config.exact_candidates {
-                let rows: Vec<u32> = (0..ctx.nodes.len() as u32).collect();
-                let per_node: Vec<Vec<(u32, f64)>> =
-                    par::par_map_cancellable(&rows, scope.token(), |&u| {
-                        (u + 1..ctx.nodes.len() as u32)
-                            .filter_map(|v| score(u, v).map(|s| (v, s)))
-                            .collect()
-                    });
-                funnel.postings = feature_sets
-                    .iter()
-                    .flat_map(|s| s.iter())
-                    .collect::<HashSet<_>>()
-                    .len() as u64;
-                funnel.pairs_bucketed = funnel.pairs_considered;
-                funnel.pairs_scored = candidates::pair_universe(ctx.nodes.len());
-                for (u, edges) in per_node.into_iter().enumerate() {
-                    for (v, sim) in edges {
-                        builder.add_edge(u as u32, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
+            let (pairs, charged): (Vec<(u32, u32)>, u64) = if exact {
+                // Every other pair shares no file id and has a side without
+                // long names, so it scores 0: these candidates give the
+                // brute-force graph.
+                funnel.postings = by_file.len() as u64;
+                let rows = super::exact_rows(scope, by_file, long_servers);
+                funnel.pairs_bucketed = rows.len() as u64;
+                let pairs = rows.iter().map(|&(u, v, _)| (u, v)).collect();
+                (pairs, rows.len() as u64 * 12)
             } else {
+                drop(by_file);
+                // Feature sets: exact file ids, plus one namespaced charset
+                // key per long name (names over the same alphabet share the
+                // feature — the old fuzzy bucket, folded into the MinHash
+                // space).
+                let feature_sets: Vec<Vec<u64>> = node_files
+                    .iter()
+                    .map(|nf| {
+                        let mut feats: Vec<u64> = nf.files.iter().map(|&f| u64::from(f)).collect();
+                        feats.extend(
+                            nf.long
+                                .iter()
+                                .map(|&f| charset_feature(ctx.dataset.file_name(f))),
+                        );
+                        feats.sort_unstable();
+                        feats.dedup();
+                        feats
+                    })
+                    .collect();
                 let (pairs, stats) = candidates::lsh_candidates_governed(
                     &feature_sets,
                     &ctx.config.lsh,
@@ -133,35 +144,38 @@ impl Dimension for UriFileDimension {
                 );
                 funnel.postings = stats.features;
                 funnel.pairs_bucketed = stats.pairs;
-                funnel.pairs_scored = pairs.len() as u64;
-                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
-                for (&(u, v), sim) in pairs.iter().zip(scores) {
-                    if let Some(sim) = sim {
-                        builder.add_edge(u, v, sim);
-                        funnel.edges += 1;
-                    }
+                let charged = pairs.len() as u64 * 8;
+                (pairs, charged)
+            };
+            funnel.pairs_scored = pairs.len() as u64;
+            let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
+            for (&(u, v), sim) in pairs.iter().zip(scores) {
+                if let Some(sim) = sim {
+                    builder.add_edge(u, v, sim);
+                    funnel.edges += 1;
                 }
-                // The pair buffer dies here; return its bytes before the
-                // edge charge lands so the two don't stack in the account.
-                scope.release(pairs.len() as u64 * 8);
             }
+            // The candidate buffer dies here; return its bytes before the
+            // edge charge lands so the two don't stack in the account.
+            scope.release(charged);
         })
     }
 }
 
 /// eq. 7 numerators: how many of each side's files have a similar file on
-/// the other side (exact id match, or cosine > threshold for long names).
+/// the other side — the `shared` exact id matches, plus long names whose
+/// charset cosine to a long name on the other side exceeds the threshold.
 fn matched_counts(
-    a: &NodeFiles,
-    b: &NodeFiles,
+    shared: usize,
+    a: &NodeFiles<'_>,
+    b: &NodeFiles<'_>,
     vectors: &HashMap<u32, [f64; 256]>,
     cos_thresh: f64,
 ) -> (usize, usize) {
-    let exact = a.files.iter().filter(|f| b.set.contains(f)).count();
-    let fuzzy_side = |from: &NodeFiles, to: &NodeFiles| -> usize {
+    let fuzzy_side = |from: &NodeFiles<'_>, to: &NodeFiles<'_>| -> usize {
         from.long
             .iter()
-            .filter(|&&f| !to.set.contains(&f))
+            .filter(|&&f| to.files.binary_search(&f).is_err())
             .filter(|&&f| {
                 vectors.get(&f).is_some_and(|va| {
                     to.long.iter().any(|&g| {
@@ -174,7 +188,7 @@ fn matched_counts(
             })
             .count()
     };
-    (exact + fuzzy_side(a, b), exact + fuzzy_side(b, a))
+    (shared + fuzzy_side(a, b), shared + fuzzy_side(b, a))
 }
 
 fn cosine(a: &[f64; 256], b: &[f64; 256]) -> f64 {
@@ -193,11 +207,20 @@ fn charset_feature(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SmashConfig;
+    use crate::config::{CandidateRoute, SmashConfig};
+    use smash_support::metrics::Registry;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>, config: SmashConfig) -> (TraceDataset, Graph) {
+        build_metered(records, config, &Registry::new())
+    }
+
+    fn build_metered(
+        records: Vec<HttpRecord>,
+        config: SmashConfig,
+        metrics: &Registry,
+    ) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
         let whois = WhoisRegistry::new();
         let nodes: Vec<u32> = ds.server_ids().collect();
@@ -212,7 +235,7 @@ mod tests {
             config: &config,
             nodes: &nodes,
             node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
+            metrics,
             governor: smash_support::governor::Governor::unlimited(),
         });
         (ds, g)
@@ -347,8 +370,9 @@ mod tests {
                 records.push(HttpRecord::new(0, "c", &host, &ip, &shared_long));
             }
         }
-        let (_, g_lsh) = build(records.clone(), SmashConfig::default());
-        let (_, g_exact) = build(records, SmashConfig::default().with_exact_candidates(true));
+        let route = |r| SmashConfig::default().with_candidate_route(r);
+        let (_, g_lsh) = build(records.clone(), route(CandidateRoute::Lsh));
+        let (_, g_exact) = build(records, route(CandidateRoute::Exact));
         let edges = |g: &Graph| g.edges().collect::<Vec<_>>();
         assert_eq!(edges(&g_lsh), edges(&g_exact));
         assert!(g_lsh.edge_count() > 0);
@@ -365,5 +389,40 @@ mod tests {
         );
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.node_count(), 2);
+    }
+
+    #[test]
+    fn exact_route_pairs_every_long_name_server() {
+        // Three servers share `/index.html` (3 pair visits); two of them
+        // also carry unrelated long names (one more pair visit, C(2, 2)).
+        // The long names share no file and no charset, yet cosine > 0.8:
+        // a pair only the all-long-name-pairs candidates surface.
+        let f1 = format!("/{}{}.php", "a".repeat(30), "b".repeat(5));
+        let f2 = format!("/{}{}.php", "a".repeat(30), "c".repeat(5));
+        let mut records = vec![
+            HttpRecord::new(0, "c", "a.com", "1.1.1.1", &f1),
+            HttpRecord::new(0, "c", "b.com", "1.1.1.2", &f2),
+        ];
+        for (host, ip) in [
+            ("a.com", "1.1.1.1"),
+            ("b.com", "1.1.1.2"),
+            ("c.com", "1.1.1.3"),
+        ] {
+            records.push(HttpRecord::new(0, "c", host, ip, "/index.html"));
+        }
+        let m = Registry::new();
+        let (ds, g) = build_metered(records, SmashConfig::default(), &m);
+        assert_eq!(m.counter("dim/uri-file/exact_pair_visits").get(), 4);
+        assert_eq!(m.counter("dim/uri-file/route_exact").get(), 1);
+        assert_eq!(m.counter("dim/uri-file/pairs_scored").get(), 3);
+        let node = |h: &str| {
+            ds.server_ids()
+                .position(|s| Some(s) == ds.server_id(h))
+                .unwrap() as u32
+        };
+        // a.com and b.com: both files matched on both sides.
+        assert_eq!(g.edge_weight(node("a.com"), node("b.com")), Some(1.0));
+        // c.com shares one of the other sides' two files: (1/2)·(1/1).
+        assert_eq!(g.edge_weight(node("a.com"), node("c.com")), Some(0.5));
     }
 }

@@ -61,9 +61,9 @@ impl Dimension for WhoisDimension {
             for (_, nodes) in by_value {
                 counter.add_posting(nodes);
             }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), hits) in counts {
+            let counts = counter.counts(scope.token());
+            scope.charge(counts.len() as u64 * 12);
+            for (u, v, hits) in counts {
                 funnel.pairs_scored += 1;
                 if funnel.pairs_scored % 1024 == 0 {
                     scope.tick();

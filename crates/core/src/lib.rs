@@ -53,7 +53,7 @@ pub mod tracker;
 
 pub use ash::{Ash, MinedDimension};
 pub use checkpoint::CheckpointOptions;
-pub use config::{ConfigError, LshConfig, SmashConfig};
+pub use config::{CandidateRoute, ConfigError, LshConfig, SmashConfig};
 pub use dimensions::DimensionKind;
 pub use pipeline::Smash;
 pub use report::{

@@ -8,9 +8,30 @@
 //! The result — `|features(i) ∩ features(j)|` for every co-occurring pair —
 //! is exactly the sparse product `AᵀA` restricted to its non-zero
 //! off-diagonal entries.
+//!
+//! The product is computed row by row: for item `u`, walk every posting
+//! that contains `u` and bump a dense per-item counter for each later
+//! item `v > u` in it. Rows are independent, so contiguous row ranges run
+//! in parallel, each worker with its own dense counter, and the ranges
+//! are concatenated in row order — the output is sorted by `(u, v)` and
+//! identical across thread counts. The work is exactly
+//! [`pair_visits`](CooccurrenceCounter::pair_visits) counter bumps plus
+//! one sort per row of the distinct items it touched.
 
+use smash_support::governor::CancelToken;
 use smash_support::par;
-use std::collections::HashMap;
+
+/// One co-occurring item pair `(u, v)` with `u < v`, and the number of
+/// posting lists holding both.
+pub type Cooccurrence = (u32, u32, u32);
+
+/// Below this many pair visits the product runs on the calling thread:
+/// spawning workers costs more than the counting it would spread.
+const PAR_MIN_VISITS: u64 = 1 << 16;
+
+/// Row ranges handed out per worker thread, so uneven rows balance
+/// across workers through the work-stealing map.
+const RANGES_PER_THREAD: usize = 8;
 
 /// Accumulates posting lists and computes pairwise co-occurrence counts.
 ///
@@ -18,13 +39,14 @@ use std::collections::HashMap;
 ///
 /// ```
 /// use smash_graph::CooccurrenceCounter;
+/// use smash_support::governor::CancelToken;
 ///
 /// let mut c = CooccurrenceCounter::new();
 /// c.add_posting([1, 2, 3]); // feature A is shared by items 1, 2, 3
 /// c.add_posting([2, 3]);    // feature B is shared by items 2, 3
-/// let counts = c.counts();
-/// assert_eq!(counts[&(2, 3)], 2);
-/// assert_eq!(counts[&(1, 2)], 1);
+/// assert_eq!(c.pair_visits(), 4);
+/// let counts = c.counts(&CancelToken::new());
+/// assert_eq!(counts, vec![(1, 2, 1), (1, 3, 1), (2, 3, 2)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CooccurrenceCounter {
@@ -78,69 +100,174 @@ impl CooccurrenceCounter {
         self.skipped
     }
 
-    /// Computes `|shared features|` for every item pair that co-occurs in at
-    /// least one posting list. Keys are `(min, max)` item-id pairs.
-    pub fn counts(&self) -> HashMap<(u32, u32), u32> {
-        let mut out = HashMap::new();
-        for posting in &self.postings {
-            accumulate(posting, &mut out);
+    /// `Σ C(|posting|, 2)` over the retained postings: how many pair
+    /// visits [`counts`](Self::counts) will make, known before any
+    /// enumeration. The number of distinct pairs it returns is at most
+    /// this.
+    pub fn pair_visits(&self) -> u64 {
+        self.postings
+            .iter()
+            .map(|p| {
+                let k = p.len() as u64;
+                k * (k - 1) / 2
+            })
+            .sum()
+    }
+
+    /// Computes `|shared features|` for every item pair that co-occurs in
+    /// at least one posting list, as `(u, v, count)` with `u < v`, sorted
+    /// by `(u, v)`. Identical across thread counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the cancellation reason (via [`CancelToken::bail`])
+    /// when `cancel` is or becomes cancelled — a cancellation point, like
+    /// every governed inner loop.
+    pub fn counts(&self, cancel: &CancelToken) -> Vec<Cooccurrence> {
+        let rows = RowIndex::new(&self.postings);
+        let ranges = rows.split(&self.postings, self.pair_visits());
+        let per_range = par::par_map_cancellable(&ranges, cancel, |&(lo, hi)| {
+            rows.product(&self.postings, lo, hi)
+        });
+        per_range.concat()
+    }
+}
+
+/// The transposed postings: for each item, the postings containing it
+/// and its position in each, in CSR form.
+struct RowIndex {
+    /// `entries[offsets[u]..offsets[u + 1]]` are item `u`'s postings.
+    offsets: Vec<usize>,
+    /// `(posting index, position of the item within that posting)`.
+    entries: Vec<(u32, u32)>,
+}
+
+impl RowIndex {
+    fn new(postings: &[Vec<u32>]) -> Self {
+        let items = postings
+            .iter()
+            .filter_map(|p| p.last())
+            .max()
+            .map_or(0, |&m| m as usize + 1);
+        let mut offsets = vec![0usize; items + 1];
+        for &x in postings.iter().flatten() {
+            if let Some(o) = offsets.get_mut(x as usize + 1) {
+                *o += 1;
+            }
+        }
+        for i in 1..offsets.len() {
+            let prev = offsets.get(i - 1).copied().unwrap_or(0);
+            if let Some(o) = offsets.get_mut(i) {
+                *o += prev;
+            }
+        }
+        let mut fill = offsets.clone();
+        let mut entries = vec![(0u32, 0u32); offsets.last().copied().unwrap_or(0)];
+        for (p, posting) in postings.iter().enumerate() {
+            for (pos, &x) in posting.iter().enumerate() {
+                if let Some(at) = fill.get_mut(x as usize) {
+                    if let Some(e) = entries.get_mut(*at) {
+                        *e = (p as u32, pos as u32);
+                    }
+                    *at += 1;
+                }
+            }
+        }
+        Self { offsets, entries }
+    }
+
+    fn items(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn row(&self, u: usize) -> &[(u32, u32)] {
+        let lo = self.offsets.get(u).copied().unwrap_or(0);
+        let hi = self.offsets.get(u + 1).copied().unwrap_or(lo);
+        self.entries.get(lo..hi).unwrap_or(&[])
+    }
+
+    /// Pair visits of row `u`: the items after `u` in each of its
+    /// postings.
+    fn row_visits(&self, postings: &[Vec<u32>], u: usize) -> u64 {
+        self.row(u)
+            .iter()
+            .map(|&(p, pos)| {
+                let len = postings.get(p as usize).map_or(0, Vec::len);
+                len.saturating_sub(pos as usize + 1) as u64
+            })
+            .sum()
+    }
+
+    /// Splits the rows into contiguous ranges of roughly equal pair
+    /// visits. Only the wall clock depends on the split, never the
+    /// output.
+    fn split(&self, postings: &[Vec<u32>], visits: u64) -> Vec<(usize, usize)> {
+        let n = self.items();
+        let threads = par::current_num_threads();
+        if visits < PAR_MIN_VISITS || threads < 2 {
+            return vec![(0, n)];
+        }
+        let target = visits.div_ceil((threads * RANGES_PER_THREAD) as u64);
+        let mut ranges = Vec::new();
+        let (mut lo, mut acc) = (0, 0u64);
+        for u in 0..n {
+            acc += self.row_visits(postings, u);
+            if acc >= target {
+                ranges.push((lo, u + 1));
+                lo = u + 1;
+                acc = 0;
+            }
+        }
+        if lo < n {
+            ranges.push((lo, n));
+        }
+        ranges
+    }
+
+    /// Rows `lo..hi` of the product, sorted by `(u, v)`.
+    fn product(&self, postings: &[Vec<u32>], lo: usize, hi: usize) -> Vec<Cooccurrence> {
+        let mut counter = vec![0u32; self.items()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut out = Vec::new();
+        for u in lo..hi {
+            for &(p, pos) in self.row(u) {
+                let tail = postings
+                    .get(p as usize)
+                    .and_then(|posting| posting.get(pos as usize + 1..))
+                    .unwrap_or(&[]);
+                for &v in tail {
+                    if let Some(c) = counter.get_mut(v as usize) {
+                        if *c == 0 {
+                            touched.push(v);
+                        }
+                        *c += 1;
+                    }
+                }
+            }
+            touched.sort_unstable();
+            for &v in &touched {
+                if let Some(c) = counter.get_mut(v as usize) {
+                    out.push((u as u32, v, *c));
+                    *c = 0;
+                }
+            }
+            touched.clear();
         }
         out
     }
-
-    /// Parallel variant of [`counts`](Self::counts): posting lists are
-    /// sharded across threads and the per-thread maps merged. The result is
-    /// identical to the sequential version.
-    pub fn counts_parallel(&self) -> HashMap<(u32, u32), u32> {
-        if self.postings.len() < 64 {
-            return self.counts();
-        }
-        let shards = par::current_num_threads().max(1);
-        let chunk = self.postings.len().div_ceil(shards);
-        par::par_fold_chunks(
-            &self.postings,
-            chunk,
-            HashMap::new,
-            |mut m, posting| {
-                accumulate(posting, &mut m);
-                m
-            },
-            |a, b| {
-                if a.len() < b.len() {
-                    return merge(b, a);
-                }
-                merge(a, b)
-            },
-        )
-    }
-}
-
-fn accumulate(posting: &[u32], out: &mut HashMap<(u32, u32), u32>) {
-    for (idx, &a) in posting.iter().enumerate() {
-        for &b in &posting[idx + 1..] {
-            *out.entry((a, b)).or_insert(0) += 1;
-        }
-    }
-}
-
-fn merge(
-    mut big: HashMap<(u32, u32), u32>,
-    small: HashMap<(u32, u32), u32>,
-) -> HashMap<(u32, u32), u32> {
-    // lint:allow(hash-iter): integer `+=` merge is commutative; order cannot matter.
-    for (k, v) in small {
-        *big.entry(k).or_insert(0) += v;
-    }
-    big
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn counts(c: &CooccurrenceCounter) -> Vec<Cooccurrence> {
+        c.counts(&CancelToken::new())
+    }
+
     #[test]
     fn empty_counter_yields_nothing() {
-        assert!(CooccurrenceCounter::new().counts().is_empty());
+        assert!(counts(&CooccurrenceCounter::new()).is_empty());
     }
 
     #[test]
@@ -149,14 +276,14 @@ mod tests {
         c.add_posting([5]);
         c.add_posting([]);
         assert_eq!(c.posting_count(), 0);
-        assert!(c.counts().is_empty());
+        assert!(counts(&c).is_empty());
     }
 
     #[test]
     fn duplicates_within_posting_collapse() {
         let mut c = CooccurrenceCounter::new();
         c.add_posting([1, 1, 2, 2]);
-        assert_eq!(c.counts()[&(1, 2)], 1);
+        assert_eq!(counts(&c), vec![(1, 2, 1)]);
     }
 
     #[test]
@@ -165,10 +292,8 @@ mod tests {
         c.add_posting([1, 2]);
         c.add_posting([2, 1]);
         c.add_posting([1, 3]);
-        let counts = c.counts();
-        assert_eq!(counts[&(1, 2)], 2);
-        assert_eq!(counts[&(1, 3)], 1);
-        assert_eq!(counts.len(), 2);
+        assert_eq!(counts(&c), vec![(1, 2, 2), (1, 3, 1)]);
+        assert_eq!(c.pair_visits(), 3);
     }
 
     #[test]
@@ -178,25 +303,32 @@ mod tests {
         c.add_posting([1, 2]);
         assert_eq!(c.skipped_count(), 1);
         assert_eq!(c.posting_count(), 1);
-        assert_eq!(c.counts().len(), 1);
+        assert_eq!(counts(&c).len(), 1);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn rows_are_sorted_and_split_invariant() {
+        // Enough visits that the product splits into ranges.
         let mut c = CooccurrenceCounter::new();
-        // 200 postings so the parallel path actually engages.
-        for i in 0..200u32 {
-            c.add_posting([i % 17, (i * 7) % 17, (i * 3) % 17]);
+        for i in 0..600u32 {
+            c.add_posting((0..24).map(|k| (i * 7 + k * 13) % 400));
         }
-        assert_eq!(c.counts(), c.counts_parallel());
+        assert!(c.pair_visits() >= PAR_MIN_VISITS);
+        let all = counts(&c);
+        assert!(all.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        assert!(all.iter().all(|&(u, v, n)| u < v && n > 0));
+        let rows = RowIndex::new(&c.postings);
+        let one_range = rows.product(&c.postings, 0, rows.items());
+        assert_eq!(all, one_range);
     }
 
     #[test]
-    fn keys_are_ordered_pairs() {
+    fn cancelled_token_stops_the_product() {
         let mut c = CooccurrenceCounter::new();
-        c.add_posting([9, 1]);
-        let counts = c.counts();
-        assert!(counts.contains_key(&(1, 9)));
-        assert!(!counts.contains_key(&(9, 1)));
+        c.add_posting([1, 2, 3]);
+        let token = CancelToken::new();
+        token.cancel("governor: test");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.counts(&token)));
+        assert!(caught.is_err());
     }
 }

@@ -2,7 +2,6 @@
 
 use smash_support::impl_json_struct;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
-use std::collections::HashMap;
 
 /// Compact node identifier used throughout the graph substrate.
 ///
@@ -160,11 +159,30 @@ impl Graph {
 ///
 /// Nodes are created implicitly by the largest id mentioned; use
 /// [`GraphBuilder::ensure_node`] to add isolated nodes. Duplicate edges are
-/// merged by summing weights.
-#[derive(Debug, Clone, Default)]
+/// merged by summing weights in insertion order.
+///
+/// Edges live in a plain `Vec` keyed by `(min, max)`. Every production
+/// caller adds its edges in ascending key order (candidate pairs and
+/// co-occurrence rows come out sorted), so the builder tracks whether
+/// that still holds and [`build`](Self::build) skips sorting when it
+/// does; out-of-order input (Louvain's community aggregation) costs one
+/// linear bucketing pass at the end.
+#[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    edges: HashMap<(NodeId, NodeId), f64>,
+    edges: Vec<((NodeId, NodeId), f64)>,
+    /// `edges` is strictly ascending by key, hence duplicate-free.
+    sorted: bool,
     max_node: Option<NodeId>,
+}
+
+impl Default for GraphBuilder {
+    fn default() -> Self {
+        Self {
+            edges: Vec::new(),
+            sorted: true,
+            max_node: None,
+        }
+    }
 }
 
 impl GraphBuilder {
@@ -203,13 +221,96 @@ impl GraphBuilder {
         self.ensure_node(u);
         self.ensure_node(v);
         let key = if u <= v { (u, v) } else { (v, u) };
-        *self.edges.entry(key).or_insert(0.0) += weight;
+        // Seeding with `0.0 +` keeps the sum bit-identical to a
+        // zero-initialized accumulator (it maps -0.0 to +0.0).
+        let weight = 0.0 + weight;
+        match self.edges.last_mut() {
+            Some(last) if self.sorted && last.0 == key => last.1 += weight,
+            Some(last) if last.0 >= key => {
+                self.sorted = false;
+                self.edges.push((key, weight));
+            }
+            _ => self.edges.push((key, weight)),
+        }
         self
     }
 
     /// Number of distinct edges added so far.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        if self.sorted {
+            return self.edges.len();
+        }
+        let mut keys: Vec<(NodeId, NodeId)> = self.edges.iter().map(|e| e.0).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
+    }
+
+    /// Sorts the edges by key and merges duplicates, summing their
+    /// weights in insertion order.
+    ///
+    /// Linear passes instead of a comparison sort: a stable counting
+    /// sort buckets the edges by `u`, then each bucket folds its
+    /// duplicates into a dense per-`v` accumulator (in insertion order)
+    /// and emits its distinct `v`s ascending. Louvain's aggregation
+    /// feeds this path hundreds of thousands of edges that collapse onto
+    /// a few community pairs.
+    fn normalize(&mut self) {
+        if self.sorted {
+            return;
+        }
+        let n = self.max_node.map_or(0, |m| m as usize + 1);
+        let mut start = vec![0usize; n + 1];
+        for &((u, _), _) in &self.edges {
+            if let Some(s) = start.get_mut(u as usize + 1) {
+                *s += 1;
+            }
+        }
+        for i in 1..start.len() {
+            let prev = start.get(i - 1).copied().unwrap_or(0);
+            if let Some(s) = start.get_mut(i) {
+                *s += prev;
+            }
+        }
+        let mut fill = start.clone();
+        let mut by_u = vec![(0 as NodeId, 0.0); self.edges.len()];
+        for &((u, v), w) in &self.edges {
+            if let Some(at) = fill.get_mut(u as usize) {
+                if let Some(slot) = by_u.get_mut(*at) {
+                    *slot = (v, w);
+                }
+                *at += 1;
+            }
+        }
+        let mut sums: Vec<Option<f64>> = vec![None; n];
+        let mut touched: Vec<NodeId> = Vec::new();
+        let mut merged = Vec::with_capacity(self.edges.len());
+        for (u, bounds) in start.windows(2).enumerate() {
+            let bucket = bounds
+                .first()
+                .zip(bounds.get(1))
+                .and_then(|(&lo, &hi)| by_u.get(lo..hi))
+                .unwrap_or(&[]);
+            for &(v, w) in bucket {
+                match sums.get_mut(v as usize) {
+                    Some(Some(sum)) => *sum += w,
+                    Some(slot) => {
+                        *slot = Some(w);
+                        touched.push(v);
+                    }
+                    None => {}
+                }
+            }
+            touched.sort_unstable();
+            for &v in &touched {
+                if let Some(sum) = sums.get_mut(v as usize).and_then(Option::take) {
+                    merged.push(((u as NodeId, v), sum));
+                }
+            }
+            touched.clear();
+        }
+        self.edges = merged;
+        self.sorted = true;
     }
 
     /// Retains only the `keep` heaviest edges, dropping the rest, and
@@ -218,62 +319,60 @@ impl GraphBuilder {
     /// equal-weight edges always survive in the same order. Nodes are
     /// never removed — a thinned node just loses edges.
     pub fn thin_to(&mut self, keep: usize) -> usize {
+        self.normalize();
         if self.edges.len() <= keep {
             return 0;
         }
-        let mut order: Vec<((NodeId, NodeId), f64)> =
-            self.edges.iter().map(|(&k, &w)| (k, w)).collect();
-        order.sort_unstable_by(|a, b| {
+        self.edges.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("edge weights are finite")
                 .then(a.0.cmp(&b.0))
         });
-        let dropped = order.len() - keep;
-        self.edges = order.into_iter().take(keep).collect();
+        let dropped = self.edges.len() - keep;
+        self.edges.truncate(keep);
+        self.edges.sort_unstable_by_key(|e| e.0);
         dropped
     }
 
     /// Finalizes the graph.
-    pub fn build(&self) -> Graph {
-        // One directed half of an edge: append `(v, w)` to `u`'s row and
-        // add `dw` to `u`'s weighted degree. `u <= max_node < n` by
-        // construction, so the lookups cannot miss.
-        fn add_half(
-            adj: &mut [Vec<(NodeId, f64)>],
-            degree: &mut [f64],
-            u: NodeId,
-            v: NodeId,
-            w: f64,
-            dw: f64,
-        ) {
-            if let Some(row) = adj.get_mut(u as usize) {
-                row.push((v, w));
-            }
-            if let Some(d) = degree.get_mut(u as usize) {
-                *d += dw;
+    ///
+    /// The degree and total-weight sums run over the edges in ascending
+    /// `(u, v)` order, so the float accumulation is order-stable: float
+    /// addition is not associative, and insertion order must never reach
+    /// a reported number. Walking the edges in that order also fills
+    /// every adjacency row already sorted — a node's lower neighbours
+    /// arrive (ascending) from earlier keys, its self-loop and higher
+    /// neighbours from its own keys — so no row needs a sort.
+    pub fn build(mut self) -> Graph {
+        self.normalize();
+        let n = self.max_node.map_or(0, |m| m as usize + 1);
+        // Size every row exactly first; `u <= v <= max_node < n` by
+        // construction, so the lookups below cannot miss.
+        let mut row_len = vec![0usize; n];
+        for &((u, v), _) in &self.edges {
+            for x in [Some(u), (u != v).then_some(v)].into_iter().flatten() {
+                if let Some(len) = row_len.get_mut(x as usize) {
+                    *len += 1;
+                }
             }
         }
-        let n = self.max_node.map_or(0, |m| m as usize + 1);
-        let mut adj: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<(NodeId, f64)>> =
+            row_len.into_iter().map(Vec::with_capacity).collect();
         let mut degree = vec![0.0; n];
         let mut total = 0.0;
-        // Sort edges so the float accumulation into `degree`/`total` is
-        // order-stable: float addition is not associative, and HashMap
-        // iteration order must never reach a reported number.
-        let mut edges: Vec<((NodeId, NodeId), f64)> =
-            self.edges.iter().map(|(&k, &w)| (k, w)).collect();
-        edges.sort_unstable_by_key(|e| e.0);
-        for &((u, v), w) in &edges {
-            if u == v {
-                add_half(&mut adj, &mut degree, u, v, w, 2.0 * w);
-            } else {
-                add_half(&mut adj, &mut degree, u, v, w, w);
-                add_half(&mut adj, &mut degree, v, u, w, w);
+        for &((u, v), w) in &self.edges {
+            if let (Some(row), Some(d)) = (adj.get_mut(u as usize), degree.get_mut(u as usize)) {
+                row.push((v, w));
+                *d += if u == v { 2.0 * w } else { w };
+            }
+            if u != v {
+                if let (Some(row), Some(d)) = (adj.get_mut(v as usize), degree.get_mut(v as usize))
+                {
+                    row.push((u, w));
+                    *d += w;
+                }
             }
             total += w;
-        }
-        for row in &mut adj {
-            row.sort_unstable_by_key(|&(v, _)| v);
         }
         Graph {
             adj,

@@ -4,7 +4,10 @@ use smash_graph::{
     connected_components, density, modularity, CooccurrenceCounter, GraphBuilder, Louvain,
     Partition, UnionFind,
 };
-use smash_support::check::{check, Gen};
+use smash_support::check::{cases, check, Gen};
+use smash_support::governor::CancelToken;
+use smash_support::par;
+use std::collections::BTreeMap;
 
 /// Generator: a random small edge list over up to `n` nodes.
 fn edges(g: &mut Gen, n: u32, max_edges: usize) -> Vec<(u32, u32, f64)> {
@@ -142,6 +145,23 @@ fn union_find_equivalence_is_transitive() {
     );
 }
 
+/// Brute-force co-occurrence counts: every pair of every deduplicated
+/// posting, in `(u, v)` order.
+fn bruteforce_counts(postings: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
+    let mut slow: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    for p in postings {
+        let mut s: Vec<u32> = p.clone();
+        s.sort_unstable();
+        s.dedup();
+        for i in 0..s.len() {
+            for j in (i + 1)..s.len() {
+                *slow.entry((s[i], s[j])).or_insert(0) += 1;
+            }
+        }
+    }
+    slow.into_iter().map(|((u, v), n)| (u, v, n)).collect()
+}
+
 #[test]
 fn cooccurrence_counts_match_bruteforce() {
     check(
@@ -151,20 +171,18 @@ fn cooccurrence_counts_match_bruteforce() {
             for p in postings {
                 c.add_posting(p.iter().copied());
             }
-            let fast = c.counts();
-            // Brute force over all pairs.
-            let mut slow: std::collections::HashMap<(u32, u32), u32> =
-                std::collections::HashMap::new();
-            for p in postings {
-                let mut s: Vec<u32> = p.clone();
-                s.sort_unstable();
-                s.dedup();
-                for i in 0..s.len() {
-                    for j in (i + 1)..s.len() {
-                        *slow.entry((s[i], s[j])).or_insert(0) += 1;
-                    }
-                }
-            }
+            let fast = c.counts(&CancelToken::new());
+            let slow = bruteforce_counts(postings);
+            let visits: u64 = postings
+                .iter()
+                .map(|p| {
+                    let mut s = p.clone();
+                    s.sort_unstable();
+                    s.dedup();
+                    (s.len() * s.len().saturating_sub(1) / 2) as u64
+                })
+                .sum();
+            assert_eq!(c.pair_visits(), visits);
             assert_eq!(fast, slow);
         },
     );
@@ -172,14 +190,139 @@ fn cooccurrence_counts_match_bruteforce() {
 
 #[test]
 fn cooccurrence_parallel_matches_sequential() {
-    check(
-        |g| g.vec(70..120, |g| g.vec(2..5, |g| g.range(0u32..20))),
+    // Enough pair visits (≥ 2^16) that the product splits its rows
+    // across workers; the rows must not depend on the split. Each case
+    // is ~10^5 pairs, so fewer cases than the default.
+    cases(16).run(
+        |g| g.vec(40..60, |g| g.vec(50..80, |g| g.range(0u32..300))),
         |postings| {
             let mut c = CooccurrenceCounter::new();
             for p in postings {
                 c.add_posting(p.iter().copied());
             }
-            assert_eq!(c.counts(), c.counts_parallel());
+            par::set_thread_count(1);
+            let one = c.counts(&CancelToken::new());
+            par::set_thread_count(3);
+            let three = c.counts(&CancelToken::new());
+            par::set_thread_count(0);
+            assert_eq!(one, three);
+            assert_eq!(one, bruteforce_counts(postings));
+        },
+    );
+}
+
+/// A graph as weight bits: adjacency rows, degrees, total weight and
+/// distinct edge count.
+struct Reference {
+    adj: Vec<Vec<(u32, u64)>>,
+    degree: Vec<u64>,
+    total: u64,
+    edges: usize,
+}
+
+/// The builder's contract, stated the slow way: duplicates summed in
+/// insertion order into a `BTreeMap`, rows sorted, degree and total
+/// summed over the edges in `(u, v)` order.
+fn reference_graph(n: usize, es: &[(u32, u32, f64)]) -> Reference {
+    let mut merged: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for &(u, v, w) in es {
+        *merged.entry((u.min(v), u.max(v))).or_insert(0.0) += w;
+    }
+    let mut adj = vec![Vec::new(); n];
+    let mut degree = vec![0.0f64; n];
+    let mut total = 0.0f64;
+    for (&(u, v), &w) in &merged {
+        adj[u as usize].push((v, w.to_bits()));
+        if u == v {
+            degree[u as usize] += 2.0 * w;
+        } else {
+            adj[v as usize].push((u, w.to_bits()));
+            degree[u as usize] += w;
+            degree[v as usize] += w;
+        }
+        total += w;
+    }
+    for row in &mut adj {
+        row.sort_unstable_by_key(|e| e.0);
+    }
+    Reference {
+        adj,
+        degree: degree.into_iter().map(f64::to_bits).collect(),
+        total: total.to_bits(),
+        edges: merged.len(),
+    }
+}
+
+fn assert_matches_reference(n: usize, es: &[(u32, u32, f64)]) {
+    let mut b = GraphBuilder::with_nodes(n);
+    for &(u, v, w) in es {
+        b.add_edge(u, v, w);
+    }
+    let want = reference_graph(n, es);
+    assert_eq!(b.edge_count(), want.edges);
+    let g = b.build();
+    assert_eq!(g.node_count(), n);
+    assert_eq!(g.edge_count(), want.edges);
+    assert_eq!(g.total_weight().to_bits(), want.total);
+    for u in 0..n {
+        let row: Vec<(u32, u64)> = g
+            .neighbors(u as u32)
+            .iter()
+            .map(|&(v, w)| (v, w.to_bits()))
+            .collect();
+        assert_eq!(row, want.adj[u], "row {u}");
+        assert_eq!(g.degree(u as u32).to_bits(), want.degree[u], "degree {u}");
+    }
+}
+
+#[test]
+fn graph_builder_matches_a_btreemap_reference() {
+    // Few nodes, many edges: shuffled insertion with duplicates and
+    // self-loops, then the same edges in key order (the no-sort path).
+    check(
+        |g| edges(g, 12, 80),
+        |es| {
+            assert_matches_reference(12, es);
+            let mut sorted = es.clone();
+            sorted.sort_by_key(|&(u, v, _)| (u.min(v), u.max(v)));
+            assert_matches_reference(12, &sorted);
+        },
+    );
+}
+
+#[test]
+fn thin_to_keeps_the_heaviest_with_key_order_breaking_ties() {
+    check(
+        |g| {
+            let es = g.vec(0..60, |g| {
+                (
+                    g.range(0u32..10),
+                    g.range(0u32..10),
+                    f64::from(g.range(1u32..4)),
+                )
+            });
+            let keep = g.range(0usize..40);
+            (es, keep)
+        },
+        |(es, keep)| {
+            let mut b = GraphBuilder::with_nodes(10);
+            for &(u, v, w) in es {
+                b.add_edge(u, v, w);
+            }
+            let mut merged: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+            for &(u, v, w) in es {
+                *merged.entry((u.min(v), u.max(v))).or_insert(0.0) += w;
+            }
+            let mut ranked: Vec<((u32, u32), f64)> = merged.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            let dropped = ranked.len().saturating_sub(*keep);
+            ranked.truncate(*keep);
+            ranked.sort_by_key(|e| e.0);
+            assert_eq!(b.thin_to(*keep), dropped);
+            let g = b.build();
+            let got: Vec<((u32, u32), f64)> = g.edges().map(|(u, v, w)| ((u, v), w)).collect();
+            assert_eq!(got, ranked);
+            assert_eq!(g.node_count(), 10);
         },
     );
 }

@@ -23,7 +23,7 @@
 //! testing (see `smash::support::failpoint`).
 
 use smash::core::baseline::ReputationBaseline;
-use smash::core::{CheckpointOptions, DimensionStatus, Smash, SmashConfig};
+use smash::core::{CandidateRoute, CheckpointOptions, DimensionStatus, Smash, SmashConfig};
 use smash::support::metrics::Registry;
 use smash::synth::Scenario;
 use smash::trace::{io, IngestOptions, IngestReport, TraceDataset, TraceStats};
@@ -57,9 +57,10 @@ analyze flags:
   --threshold <t>        eq. 9 acceptance threshold
   --idf <n>              popularity (IDF) filter threshold
   --param-dimension      enable the URI parameter-pattern dimension
-  --exact                brute-force candidate pairs instead of
-                         MinHash/LSH (the recall oracle; see DESIGN.md
-                         §10 — slow on large traces)
+  --exact                exact candidate pairs from postings even where
+                         MinHash/LSH would be cheaper (same graphs as
+                         brute force; see DESIGN.md §10 — quadratic in
+                         the longest posting)
   --dimension-budget-ms <ms>  per-dimension wall-clock budget (0 = off)
   --memory-budget-mb <mb>  per-stage tracked-memory hard budget; the
                          degradation ladder engages at 80% (0 = off;
@@ -490,7 +491,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         config = config.with_param_pattern_dimension(true);
     }
     if args.iter().any(|a| a == "--exact") {
-        config = config.with_exact_candidates(true);
+        config = config.with_candidate_route(CandidateRoute::Exact);
     }
     if let Some(ms) = flag_value(args, "--dimension-budget-ms") {
         config = config.with_dimension_budget_ms(ms.parse()?);
@@ -659,7 +660,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         config = config.with_param_pattern_dimension(true);
     }
     if args.iter().any(|a| a == "--exact") {
-        config = config.with_exact_candidates(true);
+        config = config.with_candidate_route(CandidateRoute::Exact);
     }
     if let Some(ms) = flag_value(args, "--dimension-budget-ms") {
         config = config.with_dimension_budget_ms(ms.parse()?);
