@@ -45,7 +45,9 @@
 #                                             degradation ladder replays the
 #                                             streamed scenario under halving
 #                                             memory budgets (DESIGN.md §11;
-#                                             writes no file)
+#                                             writes no file) and fails when a
+#                                             budget loses a planted campaign
+#                                             the unconstrained run found
 #   6f. preprocess / re-mine diff             `smash preprocess` writes a
 #                                             SMSHCOLS day, then analyzing the
 #                                             day must print byte-identical
@@ -115,8 +117,8 @@ rm -rf "$exact_dir"
 echo "==> smash-bench --huge --quick (streamed ISP-scale smoke)"
 cargo run -q --release --offline -p smash-bench -- --huge --quick >/dev/null
 
-echo "==> smash-bench --pressure --quick (memory-budget degradation smoke)"
-cargo run -q --release --offline -p smash-bench -- --pressure --quick >/dev/null
+echo "==> smash-bench --pressure --quick (memory-budget degradation gate)"
+cargo run -q --release --offline -p smash-bench -- --pressure --quick
 
 echo "==> preprocess / re-mine diff (SMSHCOLS day vs raw trace)"
 remine_dir="$(mktemp -d)"

@@ -63,11 +63,13 @@ fn main() {
              --pressure replays the streamed scenario under a descending\n\
              ladder of per-stage memory budgets (unconstrained, then half\n\
              and a quarter of the unconstrained peak), recording every\n\
-             degradation rung (bucket_cap tightening, posting shedding,\n\
-             stage cancellation) and the planted-campaign recovery at each\n\
-             rung under a `pressure` key in BENCH_pipeline.json (DESIGN.md\n\
-             \u{a7}11). With --quick it uses the reduced scenario and writes\n\
-             no file unless --out is given.\n\
+             degradation rung (posting shedding, bucket_cap tightening,\n\
+             graph thinning, stage cancellation) and the planted-campaign\n\
+             recovery at each budget under a `pressure` key in\n\
+             BENCH_pipeline.json (DESIGN.md \u{a7}11). Exits 1 when a budget\n\
+             recovers fewer planted campaigns than the unconstrained run.\n\
+             With --quick it uses the reduced scenario and writes no file\n\
+             unless --out is given.\n\
              \n\
              --serve benchmarks the always-on campaign service (DESIGN.md\n\
              \u{a7}13): ingest a scenario epoch by epoch, hammer the lock-free\n\
@@ -205,7 +207,9 @@ fn run_chaos(args: &[String], quick: bool) {
 /// degradation events, degraded dimensions, and how many of the planted
 /// campaigns were still recovered. In full mode the sweep is merged into
 /// `BENCH_pipeline.json` under a top-level `pressure` key; with --quick
-/// (or no resolvable output path) it prints to stdout.
+/// (or no resolvable output path) it prints to stdout. Exits 1 when a
+/// budgeted run recovers fewer planted campaigns than the unconstrained
+/// one.
 fn run_pressure(args: &[String], quick: bool) {
     let scenario = if quick {
         StreamScenario::quick(7)
@@ -238,18 +242,25 @@ fn run_pressure(args: &[String], quick: bool) {
     );
 
     let mut rungs: Vec<Json> = vec![pressure_rung_json("unconstrained", 0, &baseline, recovered)];
+    let mut lost: Vec<String> = Vec::new();
     for &divisor in &[2u64, 4] {
         let budget = (peak / divisor).max(1);
         let opts = GovernorOptions::unlimited().with_memory_budget_bytes(budget);
         let rung_metrics = Registry::new();
         let report = smash.run_governed(&dataset, &whois, &rung_metrics, None, Some(&opts));
-        let recovered = recovered_campaigns(&report, &scenario);
+        let rung_recovered = recovered_campaigns(&report, &scenario);
+        if rung_recovered < recovered {
+            lost.push(format!(
+                "peak/{divisor}: {rung_recovered}/{} campaigns, {recovered} unconstrained",
+                scenario.campaigns
+            ));
+        }
         eprintln!(
             "{label}: budget peak/{divisor} = {} bytes → peak {} bytes, {} governor event(s), {}/{} campaigns",
             budget,
             report.perf.peak_tracked_bytes,
             report.health.governor.len(),
-            recovered,
+            rung_recovered,
             scenario.campaigns
         );
         for note in report.health.governor.iter().take(12) {
@@ -265,7 +276,7 @@ fn run_pressure(args: &[String], quick: bool) {
             &format!("peak/{divisor}"),
             budget,
             &report,
-            recovered,
+            rung_recovered,
         ));
     }
 
@@ -287,6 +298,15 @@ fn run_pressure(args: &[String], quick: bool) {
             eprintln!("wrote {path}");
         }
         None => println!("{}", to_string_pretty(&sweep)),
+    }
+    // The gate: a memory budget may cost recall in degenerate crowds,
+    // never a planted campaign the unconstrained run found.
+    if !lost.is_empty() {
+        eprintln!(
+            "{label}: FAIL, budgets lost planted campaigns: {}",
+            lost.join("; ")
+        );
+        std::process::exit(1);
     }
 }
 

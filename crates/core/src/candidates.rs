@@ -64,7 +64,7 @@
 //! candidate output is independent of the carrier width.
 
 use crate::config::{CandidateRoute, LshConfig};
-use smash_support::governor::StageScope;
+use smash_support::governor::{Governor, StageScope};
 use smash_support::par;
 use std::collections::HashMap;
 
@@ -101,9 +101,6 @@ pub struct CandidateStats {
     pub capped_buckets: u64,
     /// Candidate pairs after deduplication.
     pub pairs: u64,
-    /// Postings shed by the governor's degradation ladder (always 0
-    /// without a memory budget).
-    pub shed_postings: u64,
 }
 
 /// SplitMix64 finalizer: the bijective scrambler behind every hash in
@@ -226,43 +223,31 @@ pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
-    lsh_candidates_governed(node_features, lsh, None)
+    let governor = Governor::unlimited();
+    lsh_candidates_governed(node_features, lsh, &governor.stage("candidates", 0))
 }
 
 /// [`lsh_candidates`] under governor control (DESIGN.md §11).
 ///
-/// With a scope the generator becomes a cancellation point (ticking per
-/// node and per band) and charges its dominant allocations — postings,
+/// The generator is a cancellation point of `scope` (ticking per node
+/// and per band) and charges its dominant allocations — postings,
 /// per-band bucket keys and buckets, and the candidate-pair buffer —
 /// against the stage's byte account. (Signature memory needs no ladder
 /// rung: banding is streamed by construction, so only one band's keys —
-/// 8 bytes per node — are ever resident.) On a soft-budget breach it
-/// walks the degradation ladder deterministically:
+/// 8 bytes per node — are ever resident.) Its one ladder rung (DESIGN.md
+/// §11.3, rung 2) runs before each band's cliques are pushed: the band's
+/// clique expansion is projected from its bucket sizes, and while the
+/// projection would cross the soft budget the effective `bucket_cap` is
+/// tightened (÷4, floor 2), trading recall in degenerate crowds for
+/// clique memory. Past that, the hard budget, enforced inside
+/// [`StageScope::charge`], cancels the stage.
 ///
-/// 1. tighten the effective `bucket_cap` (÷4, floor 2), trading recall
-///    in degenerate crowds for clique memory;
-/// 2. shed the most popular postings, longest first (feature id breaks
-///    ties), recording each shed feature — postings beyond `rare_cap`
-///    are free to drop (the rare path never reads them), shorter ones
-///    cost real rare-path pairs;
-/// 3. pre-assess the rare-path clique expansion and shed pair-producing
-///    postings *shortest first* until the projected pair charge fits
-///    under soft — a len-2 posting buys one almost-always-subthreshold
-///    pair, while the longest rare postings are the herd signal;
-/// 4. compact the pair buffer between bands (duplicate cliques from
-///    crowds that collide every band are free to reclaim);
-/// 5. abandon the remaining bands once compaction finds no duplicates
-///    and the cap is floored — pairs already collected keep their
-///    recall, and the stage completes instead of cancelling;
-/// 6. the hard budget, enforced inside [`StageScope::charge`], cancels
-///    the stage outright.
-///
-/// Without a scope (or with an unbudgeted one) the output is identical
-/// to [`lsh_candidates`].
+/// With an unbudgeted scope the output is identical to
+/// [`lsh_candidates`].
 pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
-    scope: Option<&StageScope>,
+    scope: &StageScope,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
     let mut stats = CandidateStats::default();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -273,107 +258,15 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     let mut posting_bytes = 0u64;
     for (node, features) in node_features.iter().enumerate() {
         let features = features.as_ref();
-        if let Some(s) = scope {
-            s.tick();
-            let bytes = features.len() as u64 * 4;
-            posting_bytes += bytes;
-            s.charge(bytes);
-        }
+        scope.tick();
+        let bytes = features.len() as u64 * 4;
+        posting_bytes += bytes;
+        scope.charge(bytes);
         for &f in features {
             postings.entry(f.widen()).or_default().push(node as u32);
         }
     }
     stats.features = postings.len() as u64;
-
-    // Soft breach after the postings build: ladder rungs 1 and 2. The
-    // decision point is sequential and driven only by charged bytes, so
-    // a given (input, budget) pair always degrades identically.
-    let mut effective_bucket_cap = lsh.bucket_cap;
-    if let Some(s) = scope {
-        if s.soft_exceeded() {
-            let tightened = (lsh.bucket_cap / 4).max(2);
-            if tightened < effective_bucket_cap {
-                s.record(format!(
-                    "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                ));
-                effective_bucket_cap = tightened;
-            }
-            let mut order: Vec<(usize, u64)> = postings
-                .iter()
-                .map(|(&f, nodes)| (nodes.len(), f))
-                .collect();
-            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (len, feature) in order {
-                if !s.soft_exceeded() {
-                    break;
-                }
-                postings.remove(&feature);
-                let bytes = len as u64 * 4;
-                posting_bytes = posting_bytes.saturating_sub(bytes);
-                s.release(bytes);
-                s.record(format!("shed posting feature={feature} len={len}"));
-                stats.shed_postings += 1;
-            }
-        }
-    }
-
-    // Pre-assess the rare-path clique expansion, mirroring the per-band
-    // assessment below: the whole pair buffer is charged in one step
-    // after the postings' bytes are returned, so without a projection a
-    // crowded rare path could jump the account from under soft straight
-    // past the hard budget with no ladder decision point in between.
-    // Sheds pair-producing postings only (a posting beyond `rare_cap`
-    // contributes nothing to the projection), *shortest first*: a len-2
-    // posting buys one pair whose eq.-1 weight is almost always below
-    // the edge threshold, while the longest rare postings are exactly
-    // the herd signal the miner is after — the opposite ordering from
-    // the posting-memory rung above, where oversized postings are free.
-    if let Some(s) = scope {
-        let rare_pair_bytes = |len: usize| -> u64 {
-            if (2..=lsh.rare_cap).contains(&len) {
-                let k = len as u64;
-                k * (k - 1) / 2 * 8
-            } else {
-                0
-            }
-        };
-        if s.soft_bytes() > 0 {
-            // lint:allow(hash-iter): order-independent sum; sheds below are sorted before use
-            let mut projected: u64 = postings.values().map(|n| rare_pair_bytes(n.len())).sum();
-            let base = s.tracked_bytes().saturating_sub(posting_bytes);
-            if base + projected > s.soft_bytes() {
-                let mut order: Vec<(usize, u64)> = postings
-                    .iter()
-                    .filter(|(_, nodes)| rare_pair_bytes(nodes.len()) > 0)
-                    .map(|(&f, nodes)| (nodes.len(), f))
-                    .collect();
-                order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-                let (mut shed, mut shed_bytes) = (0u64, 0u64);
-                for (len, feature) in order {
-                    if base + projected <= s.soft_bytes() {
-                        break;
-                    }
-                    postings.remove(&feature);
-                    let bytes = len as u64 * 4;
-                    posting_bytes = posting_bytes.saturating_sub(bytes);
-                    s.release(bytes);
-                    shed_bytes += rare_pair_bytes(len);
-                    projected = projected.saturating_sub(rare_pair_bytes(len));
-                    shed += 1;
-                    stats.shed_postings += 1;
-                }
-                if shed > 0 {
-                    // One summary event: this rung routinely sheds
-                    // hundreds of thousands of len-2 postings, and a
-                    // per-shed record would drown the event log.
-                    s.record(format!(
-                        "rare-path postings shed shortest-first: {shed} postings, \
-                         {shed_bytes} projected pair bytes"
-                    ));
-                }
-            }
-        }
-    }
 
     // Rare-feature exact path.
     // lint:allow(hash-iter): pairs are sorted+deduped before use.
@@ -384,10 +277,8 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     }
     // Postings are only read by the rare path; return their bytes now.
     drop(postings);
-    if let Some(s) = scope {
-        s.release(posting_bytes);
-        s.charge(pairs.len() as u64 * 8);
-    }
+    scope.release(posting_bytes);
+    scope.charge(pairs.len() as u64 * 8);
 
     // Banding, streamed: each band recomputes only its own signature
     // rows and folds them straight into one bucket key per node, so
@@ -397,54 +288,11 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     let key_bytes = node_features.len() as u64 * 8;
 
     // One bucket map per band, reused across bands.
+    let mut effective_bucket_cap = lsh.bucket_cap;
     let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
     for band in 0..lsh.bands {
-        if let Some(s) = scope {
-            s.tick();
-            // Re-check the ladder between bands: the pair buffer grows
-            // band by band. First compact it — a crowd with identical
-            // feature sets lands in the same bucket every band, so its
-            // clique is duplicated per band and those bytes are free to
-            // reclaim. Only if compaction leaves the stage over soft
-            // does tightening (which costs recall) engage.
-            if s.soft_exceeded() {
-                let before_compact = pairs.len();
-                pairs.sort_unstable();
-                pairs.dedup();
-                if pairs.len() < before_compact {
-                    s.release((before_compact - pairs.len()) as u64 * 8);
-                    s.record(format!(
-                        "pair buffer compacted: {before_compact} -> {} pairs",
-                        pairs.len()
-                    ));
-                }
-            }
-            if s.soft_exceeded() {
-                let tightened = (effective_bucket_cap / 4).max(2);
-                if tightened < effective_bucket_cap {
-                    s.record(format!(
-                        "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                    ));
-                    effective_bucket_cap = tightened;
-                } else {
-                    // Every softer rung is exhausted: compaction found
-                    // no duplicates and the cap is already floored, so
-                    // each further band can only grow the pair buffer
-                    // toward the hard budget. Abandon the remaining
-                    // bands instead of cancelling the whole stage — the
-                    // rare-path pairs and the bands already folded in
-                    // keep their recall.
-                    s.record(format!(
-                        "banding abandoned at band {band}/{}: pair buffer at soft budget",
-                        lsh.bands
-                    ));
-                    break;
-                }
-            }
-        }
-        if let Some(s) = scope {
-            s.charge(key_bytes);
-        }
+        scope.tick();
+        scope.charge(key_bytes);
         let keys = band_keys(node_features, band, lsh.rows);
         buckets.clear();
         let before = pairs.len();
@@ -458,38 +306,27 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
             buckets.entry(key).or_default().push(node as u32);
             bucketed += 1;
         }
-        if let Some(s) = scope {
-            s.charge(bucketed * 4);
-            // Pre-assess this band's clique expansion against the soft
-            // budget and tighten until the projection fits (or the cap
-            // floors at 2): a single crowded band could otherwise jump
-            // the account from under soft straight past the hard budget
-            // before any ladder decision point runs.
-            if s.soft_bytes() > 0 {
-                loop {
-                    // lint:allow(hash-iter): order-independent sum.
-                    let projected: u64 = buckets
-                        .values()
-                        .map(|nodes| {
-                            let k = nodes.len() as u64;
-                            if nodes.len() > effective_bucket_cap {
-                                0
-                            } else {
-                                k * k.saturating_sub(1) / 2 * 8
-                            }
-                        })
-                        .sum();
-                    if effective_bucket_cap <= 2 || s.tracked_bytes() + projected <= s.soft_bytes()
-                    {
-                        break;
-                    }
-                    let tightened = (effective_bucket_cap / 4).max(2);
-                    s.record(format!(
-                        "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                    ));
-                    effective_bucket_cap = tightened;
-                }
+        scope.charge(bucketed * 4);
+        // Project this band's clique expansion against the soft budget
+        // and tighten until the projection fits (or the cap floors at
+        // 2): a single crowded band could otherwise jump the account
+        // from under soft straight past the hard budget before any
+        // ladder decision point runs.
+        while scope.soft_bytes() > 0 && effective_bucket_cap > 2 {
+            // lint:allow(hash-iter): order-independent sum.
+            let projected: u64 = buckets
+                .values()
+                .filter(|nodes| nodes.len() <= effective_bucket_cap)
+                .map(|nodes| pair_universe(nodes.len()) * 8)
+                .sum();
+            if scope.tracked_bytes() + projected <= scope.soft_bytes() {
+                break;
             }
+            let tightened = (effective_bucket_cap / 4).max(2);
+            scope.record(format!(
+                "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
+            ));
+            effective_bucket_cap = tightened;
         }
         // lint:allow(hash-iter): pairs are sorted+deduped before use.
         for nodes in buckets.values() {
@@ -500,21 +337,17 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
             }
         }
         drop(keys);
-        if let Some(s) = scope {
-            // Buckets and keys are rebuilt next band; the pair delta
-            // persists.
-            s.release(bucketed * 4);
-            s.charge((pairs.len() - before) as u64 * 8);
-            s.release(key_bytes);
-        }
+        // Buckets and keys are rebuilt next band; the pair delta
+        // persists.
+        scope.release(bucketed * 4);
+        scope.charge((pairs.len() - before) as u64 * 8);
+        scope.release(key_bytes);
     }
 
     pairs.sort_unstable();
     let before_dedup = pairs.len();
     pairs.dedup();
-    if let Some(s) = scope {
-        s.release((before_dedup - pairs.len()) as u64 * 8);
-    }
+    scope.release((before_dedup - pairs.len()) as u64 * 8);
     stats.pairs = pairs.len() as u64;
     (pairs, stats)
 }

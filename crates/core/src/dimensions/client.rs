@@ -21,7 +21,6 @@ use super::{
 };
 use crate::candidates;
 use smash_graph::Graph;
-use smash_support::par;
 use std::collections::HashMap;
 
 /// Builder of the client-similarity graph.
@@ -85,46 +84,33 @@ impl Dimension for ClientDimension {
                 // Every pair sharing a client, with |Ci∩Cj| counted by the
                 // product itself: the brute-force graph, since a pair with
                 // no shared client scores 0.
-                funnel.postings = by_client.len() as u64;
-                let rows = super::exact_rows(scope, by_client, Vec::new());
-                funnel.pairs_bucketed = rows.len() as u64;
-                funnel.pairs_scored = rows.len() as u64;
-                for (i, &(u, v, shared)) in rows.iter().enumerate() {
-                    if i % 1024 == 0 {
-                        scope.tick();
-                    }
-                    if let Some(sim) = edge(u, v, shared as usize) {
-                        builder.add_edge(u, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-                scope.release(rows.len() as u64 * 12);
+                super::exact_edges(
+                    scope,
+                    builder,
+                    funnel,
+                    by_client,
+                    usize::MAX,
+                    Vec::new(),
+                    edge,
+                );
+                funnel.pairs_bucketed = funnel.pairs_scored;
             } else {
                 drop(by_client);
-                let (pairs, stats) = candidates::lsh_candidates_governed(
-                    &feature_sets,
-                    &ctx.config.lsh,
-                    Some(scope),
-                );
-                funnel.postings = stats.features;
-                funnel.pairs_bucketed = stats.pairs;
-                funnel.pairs_scored = pairs.len() as u64;
-                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| {
+                let score = |u: u32, v: u32| {
                     let shared = sorted_intersection_len(
                         feature_sets.get(u as usize)?,
                         feature_sets.get(v as usize)?,
                     );
                     edge(u, v, shared)
-                });
-                for (&(u, v), sim) in pairs.iter().zip(scores) {
-                    if let Some(sim) = sim {
-                        builder.add_edge(u, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-                // The pair buffer dies here; return its bytes before the
-                // edge charge lands so the two don't stack in the account.
-                scope.release(pairs.len() as u64 * 8);
+                };
+                super::lsh_edges(
+                    scope,
+                    builder,
+                    funnel,
+                    &feature_sets,
+                    &ctx.config.lsh,
+                    score,
+                );
             }
         })
     }

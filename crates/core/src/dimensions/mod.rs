@@ -8,11 +8,12 @@
 //! builds an inverted index (feature → nodes) and only pairs sharing a
 //! posting are scored. The IP-set, Whois and extension dimensions take
 //! their pairs from the sparse co-occurrence product
-//! ([`smash_graph::CooccurrenceCounter`]) over length-capped postings.
-//! The client and URI-file dimensions take the same uncapped product
-//! when its pair visits cost no more than MinHash/LSH hashing would, and
-//! the LSH layer otherwise ([`crate::candidates`], DESIGN.md §10;
-//! `SmashConfig::candidate_route` can force either route).
+//! ([`smash_graph::CooccurrenceCounter`]) over length-capped postings,
+//! scored as it counts through one helper, `exact_edges`. The client
+//! and URI-file dimensions take the same uncapped product when its pair
+//! visits cost no more than MinHash/LSH hashing would, and the LSH
+//! layer otherwise (`lsh_edges` over [`crate::candidates`], DESIGN.md
+//! §10; `SmashConfig::candidate_route` can force either route).
 
 pub mod client;
 pub mod ip_set;
@@ -22,12 +23,13 @@ pub mod timing;
 pub mod uri_file;
 pub mod whois;
 
-use crate::candidates;
-use crate::config::SmashConfig;
-use smash_graph::{Cooccurrence, CooccurrenceCounter, Graph, GraphBuilder};
+use crate::candidates::{self, FeatureId};
+use crate::config::{LshConfig, SmashConfig};
+use smash_graph::{CooccurrenceCounter, Graph, GraphBuilder};
 use smash_support::governor::{Governor, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
+use smash_support::par;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use smash_trace::{ServerId, TraceDataset};
 use smash_whois::WhoisRegistry;
@@ -161,35 +163,46 @@ impl DimensionContext<'_> {
     }
 }
 
-/// Charges an inverted index's posting bytes to the stage account and,
-/// on a soft-budget breach, sheds the most popular postings — longest
-/// first, smallest key breaking ties — until the account is back under
-/// the soft budget (ladder rung 2 for the counter-routed dimensions).
-/// Every shed feature is recorded on the scope. A no-op on unbudgeted
-/// runs beyond the byte charge itself.
-pub(crate) fn govern_postings<K>(scope: &StageScope, postings: &mut HashMap<K, Vec<u32>>)
+/// Charges an inverted index's posting bytes (4 per entry) to the stage
+/// account and returns the charge — ladder rung 1 (DESIGN.md §11.3).
+/// The charge is projected first: if it would cross the soft budget,
+/// the *shortest* postings are shed (smallest key breaking ties) until
+/// it fits, and one summary event records the count. A short posting
+/// buys few pairs, and those almost never clear an edge threshold,
+/// while the longest postings are the herd signal. The shed happens
+/// before anything is charged, so this charge never crosses hard.
+pub(crate) fn govern_postings<K>(scope: &StageScope, postings: &mut HashMap<K, Vec<u32>>) -> u64
 where
-    K: Clone + Ord + std::hash::Hash + fmt::Display,
+    K: Clone + Ord + std::hash::Hash,
 {
     // lint:allow(hash-iter): summing byte counts is order-independent.
-    let bytes: u64 = postings.values().map(|v| v.len() as u64 * 4).sum();
-    scope.charge(bytes);
-    if !scope.soft_exceeded() {
-        return;
-    }
-    let mut order: Vec<(usize, K)> = postings
-        .iter()
-        .map(|(k, nodes)| (nodes.len(), k.clone()))
-        .collect();
-    order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for (len, key) in order {
-        if !scope.soft_exceeded() {
-            break;
+    let all: u64 = postings.values().map(|v| v.len() as u64 * 4).sum();
+    let fits =
+        |bytes: u64| scope.soft_bytes() == 0 || scope.tracked_bytes() + bytes <= scope.soft_bytes();
+    let mut bytes = all;
+    if !fits(bytes) {
+        let mut order: Vec<(usize, K)> = postings
+            .iter()
+            .map(|(k, nodes)| (nodes.len(), k.clone()))
+            .collect();
+        order.sort_unstable();
+        let mut shed = 0u64;
+        for (len, key) in order {
+            if fits(bytes) {
+                break;
+            }
+            postings.remove(&key);
+            bytes -= len as u64 * 4;
+            shed += 1;
         }
-        postings.remove(&key);
-        scope.release(len as u64 * 4);
-        scope.record(format!("shed posting feature={key} len={len}"));
+        // `governor/shed` reads the count back from this event.
+        scope.record(format!(
+            "shed {shed} postings shortest-first, {} bytes",
+            all - bytes
+        ));
     }
+    scope.charge(bytes);
+    bytes
 }
 
 /// The candidate routing rule (DESIGN.md §10) over a dimension's
@@ -217,38 +230,83 @@ pub(crate) fn route_exact<K>(
     exact
 }
 
-/// The exact candidate route's product (DESIGN.md §10): charges the
-/// postings through [`govern_postings`] (which sheds the longest first
-/// past the soft budget), adds `extra` as one more posting, and counts
-/// every co-occurring node pair under the stage's cancellation token.
-/// The postings are released once counted; the rows stay charged (12
-/// bytes each) until the caller has scored them and releases them
-/// before its edge charge lands.
-pub(crate) fn exact_rows<K>(
+/// The co-occurrence product of one dimension, scored as it is
+/// counted (DESIGN.md §10): drops postings longer than `cap` (features
+/// shared by too many nodes to carry herd signal), charges the rest
+/// through [`govern_postings`] plus `extra` as one more posting (the
+/// URI-file dimension's long-name servers), and hands every
+/// co-occurring node pair with its shared-posting count to `score`
+/// under the stage's cancellation token. Kept edges go into `builder`
+/// in `(u, v)` order; the postings are released once scored, before
+/// the builder's edge charge lands.
+pub(crate) fn exact_edges<K, F>(
     scope: &StageScope,
+    builder: &mut GraphBuilder,
+    funnel: &mut BuilderFunnel,
     mut postings: HashMap<K, Vec<u32>>,
+    cap: usize,
     extra: Vec<u32>,
-) -> Vec<Cooccurrence>
-where
-    K: Clone + Ord + std::hash::Hash + fmt::Display,
+    score: F,
+) where
+    K: Clone + Ord + std::hash::Hash,
+    F: Fn(u32, u32, usize) -> Option<f64> + Sync,
 {
     scope.tick();
-    scope.charge(extra.len() as u64 * 4);
-    govern_postings(scope, &mut postings);
-    // lint:allow(hash-iter): summing byte counts is order-independent.
-    let entries: u64 = postings.values().map(|v| v.len() as u64).sum();
-    let posting_bytes = (entries + extra.len() as u64) * 4;
+    funnel.postings = postings.len() as u64;
+    // Postings hold ascending node ids, so `dedup` leaves the distinct
+    // nodes the cap is defined on.
+    postings.retain(|_, nodes| {
+        nodes.dedup();
+        nodes.len() <= cap
+    });
+    let extra_bytes = extra.len() as u64 * 4;
+    scope.charge(extra_bytes);
+    let posting_bytes = govern_postings(scope, &mut postings) + extra_bytes;
     let mut counter = CooccurrenceCounter::new();
     // lint:allow(hash-iter): the product's rows are sorted whatever the posting order.
     for (_, nodes) in postings {
         counter.add_posting(nodes);
     }
     counter.add_posting(extra);
-    let rows = counter.counts(scope.token());
+    let (scored, edges) = counter.scored(scope.token(), score);
     drop(counter);
     scope.release(posting_bytes);
-    scope.charge(rows.len() as u64 * 12);
-    rows
+    funnel.pairs_scored = scored;
+    funnel.edges = edges.len() as u64;
+    for (u, v, w) in edges {
+        builder.add_edge(u, v, w);
+    }
+}
+
+/// The MinHash/LSH candidate route (DESIGN.md §10.1): candidates from
+/// [`candidates::lsh_candidates_governed`] over `feature_sets`, each
+/// scored by `score` in parallel under the stage's cancellation token.
+/// Kept edges go into `builder` in `(u, v)` order, and the pair buffer's
+/// bytes are returned before the builder's edge charge lands.
+pub(crate) fn lsh_edges<T, S, F>(
+    scope: &StageScope,
+    builder: &mut GraphBuilder,
+    funnel: &mut BuilderFunnel,
+    feature_sets: &[S],
+    lsh: &LshConfig,
+    score: F,
+) where
+    T: FeatureId,
+    S: AsRef<[T]> + Sync,
+    F: Fn(u32, u32) -> Option<f64> + Sync,
+{
+    let (pairs, stats) = candidates::lsh_candidates_governed(feature_sets, lsh, scope);
+    funnel.postings = stats.features;
+    funnel.pairs_bucketed = stats.pairs;
+    funnel.pairs_scored = pairs.len() as u64;
+    let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
+    for (&(u, v), sim) in pairs.iter().zip(scores) {
+        if let Some(sim) = sim {
+            builder.add_edge(u, v, sim);
+            funnel.edges += 1;
+        }
+    }
+    scope.release(pairs.len() as u64 * 8);
 }
 
 /// Reports one builder's standard `dim/<kind>/*` metrics in a single
@@ -332,13 +390,14 @@ where
     let mut builder = GraphBuilder::with_nodes(ctx.nodes.len());
     let mut funnel = BuilderFunnel::default();
     body(&mut builder, &mut funnel, &scope);
-    // Graph edges are the allocation that outlives the builder: an edge
-    // is two adjacency entries of (node, weight) = 2 × 12 bytes. If
-    // that charge would not fit under the soft budget, thin the graph
-    // to its heaviest edges first — campaign herds score near 1.0 while
-    // coincidental overlaps sit just above the edge threshold, so the
-    // lightest edges go first and the stage completes degraded instead
-    // of cancelling on its own output.
+    // Ladder rung 3 (DESIGN.md §11.3). Graph edges are the allocation
+    // that outlives the builder: an edge is two adjacency entries of
+    // (node, weight) = 2 × 12 bytes. If that charge would not fit under
+    // the soft budget, thin the graph to its heaviest edges first —
+    // campaign herds score near 1.0 while coincidental overlaps sit
+    // just above the edge threshold, so the lightest edges go first and
+    // the stage completes degraded instead of cancelling on its own
+    // output.
     if scope.soft_bytes() > 0 {
         let headroom = scope.soft_bytes().saturating_sub(scope.tracked_bytes());
         let keep = (headroom / 24) as usize;
@@ -400,6 +459,98 @@ pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smash_support::governor::GovernorOptions;
+
+    /// Five postings of lengths 2..=6 (80 posting bytes) under keys 0..5.
+    fn ladder_postings() -> HashMap<u32, Vec<u32>> {
+        (0..5u32).map(|k| (k, (0..k + 2).collect())).collect()
+    }
+
+    /// A stage with a 100-byte hard budget (80 soft) and `tracked`
+    /// bytes already charged.
+    fn budgeted_stage(tracked: u64) -> (Governor, std::sync::Arc<StageScope>) {
+        let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(100));
+        let scope = g.stage("dimension/whois", 0);
+        scope.charge(tracked);
+        (g, scope)
+    }
+
+    #[test]
+    fn govern_postings_charges_everything_without_a_budget() {
+        let g = Governor::unlimited();
+        let scope = g.stage("dimension/whois", 0);
+        let mut postings = ladder_postings();
+        assert_eq!(govern_postings(&scope, &mut postings), 80);
+        assert_eq!(postings.len(), 5);
+        assert_eq!(scope.tracked_bytes(), 80);
+        assert_eq!(scope.event_count(), 0);
+    }
+
+    #[test]
+    fn govern_postings_sheds_shortest_first_until_the_charge_fits() {
+        // 20 + 80 would cross the 80-byte soft budget: the len-2 and
+        // len-3 postings go (20 bytes), and the rest fits exactly.
+        let (g, scope) = budgeted_stage(20);
+        let mut postings = ladder_postings();
+        assert_eq!(govern_postings(&scope, &mut postings), 60);
+        let mut kept: Vec<u32> = postings.into_keys().collect();
+        kept.sort_unstable();
+        assert_eq!(kept, vec![2, 3, 4]);
+        assert_eq!(scope.tracked_bytes(), 80);
+        assert_eq!(events(&g), vec!["shed 2 postings shortest-first, 20 bytes"]);
+    }
+
+    #[test]
+    fn govern_postings_never_crosses_hard() {
+        // Already over soft: every posting is shed, nothing is charged,
+        // and the stage lives on under its hard budget.
+        let (g, scope) = budgeted_stage(85);
+        let mut postings = ladder_postings();
+        assert_eq!(govern_postings(&scope, &mut postings), 0);
+        assert!(postings.is_empty());
+        assert_eq!(scope.tracked_bytes(), 85);
+        assert!(!scope.token().is_cancelled());
+        assert_eq!(events(&g), vec!["shed 5 postings shortest-first, 80 bytes"]);
+    }
+
+    #[test]
+    fn exact_edges_caps_postings_and_scores_every_pair_once() {
+        // Posting 0 holds three nodes (one listed twice), over the cap
+        // of 2; posting 1 holds nodes 1 and 2, as does the extra one.
+        let postings: HashMap<u32, Vec<u32>> = [(0, vec![0, 1, 1, 2]), (1, vec![1, 2])]
+            .into_iter()
+            .collect();
+        let g = Governor::unlimited();
+        let scope = g.stage("dimension/ip-set", 0);
+        let mut builder = GraphBuilder::with_nodes(3);
+        let mut funnel = BuilderFunnel::default();
+        let shared = |_: u32, _: u32, n: usize| Some(n as f64);
+        exact_edges(
+            &scope,
+            &mut builder,
+            &mut funnel,
+            postings,
+            2,
+            vec![1, 2],
+            shared,
+        );
+        assert_eq!(
+            (funnel.postings, funnel.pairs_scored, funnel.edges),
+            (2, 1, 1)
+        );
+        let edges: Vec<_> = builder.build().edges().collect();
+        assert_eq!(edges, vec![(1, 2, 2.0)]);
+        // Every posting byte is returned once the product is scored.
+        assert_eq!(scope.tracked_bytes(), 0);
+    }
+
+    /// The ladder events `g`'s stages recorded, in order.
+    fn events(g: &Governor) -> Vec<String> {
+        g.stage_summaries()
+            .into_iter()
+            .flat_map(|s| s.events)
+            .collect()
+    }
 
     #[test]
     fn overlap_product_basics() {

@@ -24,7 +24,6 @@ use super::{
 };
 use crate::candidates;
 use smash_graph::Graph;
-use smash_support::par;
 use smash_trace::uri::charset_vector;
 use std::collections::{HashMap, HashSet};
 
@@ -108,15 +107,20 @@ impl Dimension for UriFileDimension {
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             };
 
-            let (pairs, charged): (Vec<(u32, u32)>, u64) = if exact {
+            if exact {
                 // Every other pair shares no file id and has a side without
                 // long names, so it scores 0: these candidates give the
                 // brute-force graph.
-                funnel.postings = by_file.len() as u64;
-                let rows = super::exact_rows(scope, by_file, long_servers);
-                funnel.pairs_bucketed = rows.len() as u64;
-                let pairs = rows.iter().map(|&(u, v, _)| (u, v)).collect();
-                (pairs, rows.len() as u64 * 12)
+                super::exact_edges(
+                    scope,
+                    builder,
+                    funnel,
+                    by_file,
+                    usize::MAX,
+                    long_servers,
+                    |u, v, _| score(u, v),
+                );
+                funnel.pairs_bucketed = funnel.pairs_scored;
             } else {
                 drop(by_file);
                 // Feature sets: exact file ids, plus one namespaced charset
@@ -137,27 +141,15 @@ impl Dimension for UriFileDimension {
                         feats
                     })
                     .collect();
-                let (pairs, stats) = candidates::lsh_candidates_governed(
+                super::lsh_edges(
+                    scope,
+                    builder,
+                    funnel,
                     &feature_sets,
                     &ctx.config.lsh,
-                    Some(scope),
+                    score,
                 );
-                funnel.postings = stats.features;
-                funnel.pairs_bucketed = stats.pairs;
-                let charged = pairs.len() as u64 * 8;
-                (pairs, charged)
-            };
-            funnel.pairs_scored = pairs.len() as u64;
-            let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
-            for (&(u, v), sim) in pairs.iter().zip(scores) {
-                if let Some(sim) = sim {
-                    builder.add_edge(u, v, sim);
-                    funnel.edges += 1;
-                }
             }
-            // The candidate buffer dies here; return its bytes before the
-            // edge charge lands so the two don't stack in the account.
-            scope.release(charged);
         })
     }
 }

@@ -132,10 +132,12 @@ impl Smash {
     /// With `resources` set, every stage runs against a cooperative
     /// [`Governor`]: dimension builders, LSH bucketing, Louvain mining,
     /// and candidate scoring poll a shared cancellation token and charge
-    /// their dominant allocations against per-stage memory budgets. A
-    /// soft-budget breach walks a deterministic degradation ladder
-    /// (tighten `bucket_cap` → shed popular postings → cancel the
-    /// dimension); a hard breach or deadline cancels the stage through
+    /// their dominant allocations against per-stage memory budgets.
+    /// Where a charge would cross the soft budget a stage walks the
+    /// deterministic degradation ladder (DESIGN.md §11.3: shed the
+    /// shortest postings, tighten the LSH `bucket_cap`, thin the
+    /// finished graph); the fourth rung, a hard-budget breach, and a
+    /// deadline cancel the stage through
     /// the same panic-isolation boundary used for crashes, so the run
     /// degrades (eq. 9 renormalized) instead of dying, and checkpoint
     /// state stays resumable. Every ladder rung is recorded in
@@ -261,12 +263,22 @@ impl Smash {
                 // Without the main dimension there is nothing to
                 // correlate against: degrade to an empty report that
                 // names the failure instead of unwinding.
+                let governor_events = harvest_governor(&governor, metrics);
+                let perf = assemble_perf(
+                    metrics,
+                    run_start.elapsed().as_secs_f64() * 1000.0,
+                    dataset.record_count() as u64,
+                    0,
+                    0,
+                    &governor,
+                );
                 return Self::aborted_report(
                     &pre.kept,
                     pre.dropped_popular.len(),
                     triage_failure(reason),
                     cp.map(Checkpointer::into_warnings).unwrap_or_default(),
-                    harvest_governor(&governor, metrics),
+                    governor_events,
+                    perf,
                 );
             }
         };
@@ -644,13 +656,15 @@ impl Smash {
     /// The empty report returned when the main dimension itself failed:
     /// no campaigns, every secondary marked as not run, and the failure
     /// status (plus any checkpoint warnings and governor events)
-    /// preserved in `RunHealth`.
+    /// preserved in `RunHealth`. `perf` keeps the stage times and the
+    /// governor's tracked peak of the work that did run.
     fn aborted_report(
         kept: &[ServerId],
         dropped_popular: usize,
         status: DimensionStatus,
         checkpoint_warnings: Vec<String>,
         governor_events: Vec<String>,
+        perf: PerfReport,
     ) -> SmashReport {
         let mut dimensions = vec![DimensionHealth {
             kind: DimensionKind::Client,
@@ -694,7 +708,7 @@ impl Smash {
                 checkpoint_warnings,
                 governor: governor_events,
             },
-            perf: PerfReport::default(),
+            perf,
         }
     }
 }
@@ -734,8 +748,8 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
         for e in &stage.events {
             if e.starts_with("bucket_cap tightened") {
                 metrics.counter("governor/tightened").add(1);
-            } else if e.starts_with("shed posting") {
-                metrics.counter("governor/shed").add(1);
+            } else if let Some(shed) = shed_count(e) {
+                metrics.counter("governor/shed").add(shed);
             }
             events.push(format!("{}: {e}", stage.name));
         }
@@ -750,6 +764,12 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
             .set(governor.peak_tracked_bytes() as f64);
     }
     events
+}
+
+/// The posting count of a `shed <n> postings …` ladder event
+/// (`dimensions::govern_postings`).
+fn shed_count(event: &str) -> Option<u64> {
+    event.strip_prefix("shed ")?.split(' ').next()?.parse().ok()
 }
 
 /// Pipeline-order rank of a `stage/*` histogram name (unknown stages
@@ -867,6 +887,26 @@ fn append_single_client_herds(
 mod tests {
     use super::*;
     use smash_trace::HttpRecord;
+
+    #[test]
+    fn governor_shed_counts_postings_not_events() {
+        // One summary event for two shed postings: the counter reads the
+        // count back out of the event.
+        let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(100));
+        let scope = governor.stage("dimension/whois", 0);
+        scope.charge(20);
+        let mut postings: HashMap<u32, Vec<u32>> =
+            (0..5u32).map(|k| (k, (0..k + 2).collect())).collect();
+        crate::dimensions::govern_postings(&scope, &mut postings);
+        let metrics = Registry::new();
+        let events = harvest_governor(&governor, &metrics);
+        assert_eq!(
+            events,
+            vec!["dimension/whois: shed 2 postings shortest-first, 20 bytes"]
+        );
+        assert_eq!(metrics.counter("governor/shed").get(), 2);
+        assert_eq!(shed_count("bucket_cap tightened 512 -> 128"), None);
+    }
 
     /// A hand-built C&C flux herd: 3 bots, 8 domains, shared script,
     /// shared IP, plus benign background servers with diverse clients.

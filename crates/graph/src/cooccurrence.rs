@@ -11,19 +11,18 @@
 //!
 //! The product is computed row by row: for item `u`, walk every posting
 //! that contains `u` and bump a dense per-item counter for each later
-//! item `v > u` in it. Rows are independent, so contiguous row ranges run
-//! in parallel, each worker with its own dense counter, and the ranges
-//! are concatenated in row order — the output is sorted by `(u, v)` and
-//! identical across thread counts. The work is exactly
+//! item `v > u` in it, then hand each touched `(u, v, count)` to the
+//! caller's scorer before the counter is cleared. Rows are independent,
+//! so contiguous row ranges run in parallel, each worker with its own
+//! dense counter, and the ranges' kept edges are concatenated in row
+//! order — the output is sorted by `(u, v)` and identical across thread
+//! counts. The work is exactly
 //! [`pair_visits`](CooccurrenceCounter::pair_visits) counter bumps plus
-//! one sort per row of the distinct items it touched.
+//! one sort per row of the distinct items it touched; no per-pair
+//! buffer ever exists, only the edges the scorer keeps.
 
 use smash_support::governor::CancelToken;
 use smash_support::par;
-
-/// One co-occurring item pair `(u, v)` with `u < v`, and the number of
-/// posting lists holding both.
-pub type Cooccurrence = (u32, u32, u32);
 
 /// Below this many pair visits the product runs on the calling thread:
 /// spawning workers costs more than the counting it would spread.
@@ -33,7 +32,7 @@ const PAR_MIN_VISITS: u64 = 1 << 16;
 /// across workers through the work-stealing map.
 const RANGES_PER_THREAD: usize = 8;
 
-/// Accumulates posting lists and computes pairwise co-occurrence counts.
+/// Accumulates posting lists and scores every co-occurring item pair.
 ///
 /// # Example
 ///
@@ -45,31 +44,22 @@ const RANGES_PER_THREAD: usize = 8;
 /// c.add_posting([1, 2, 3]); // feature A is shared by items 1, 2, 3
 /// c.add_posting([2, 3]);    // feature B is shared by items 2, 3
 /// assert_eq!(c.pair_visits(), 4);
-/// let counts = c.counts(&CancelToken::new());
-/// assert_eq!(counts, vec![(1, 2, 1), (1, 3, 1), (2, 3, 2)]);
+/// // Keep the pairs sharing both features, weighted by the count.
+/// let (scored, edges) = c.scored(&CancelToken::new(), |_, _, shared| {
+///     (shared >= 2).then_some(shared as f64)
+/// });
+/// assert_eq!(scored, 3);
+/// assert_eq!(edges, vec![(2, 3, 2.0)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CooccurrenceCounter {
     postings: Vec<Vec<u32>>,
-    max_posting_len: Option<usize>,
-    skipped: usize,
 }
 
 impl CooccurrenceCounter {
-    /// Creates an empty counter with no posting-length cap.
+    /// Creates an empty counter.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Caps posting-list length: features shared by more than `cap` items
-    /// are skipped entirely.
-    ///
-    /// This mirrors the paper's IDF popularity filter — a feature common to
-    /// very many items (a hyper-popular client or IP) carries no
-    /// discriminative signal but dominates the pair count quadratically.
-    pub fn with_max_posting_len(mut self, cap: usize) -> Self {
-        self.max_posting_len = Some(cap);
-        self
     }
 
     /// Adds one feature's posting list (the set of items exhibiting the
@@ -78,31 +68,14 @@ impl CooccurrenceCounter {
         let mut v: Vec<u32> = items.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        if v.len() < 2 {
-            return; // no pairs to contribute
+        if v.len() >= 2 {
+            self.postings.push(v);
         }
-        if let Some(cap) = self.max_posting_len {
-            if v.len() > cap {
-                self.skipped += 1;
-                return;
-            }
-        }
-        self.postings.push(v);
-    }
-
-    /// Number of posting lists retained so far.
-    pub fn posting_count(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Number of posting lists dropped by the length cap.
-    pub fn skipped_count(&self) -> usize {
-        self.skipped
     }
 
     /// `Σ C(|posting|, 2)` over the retained postings: how many pair
-    /// visits [`counts`](Self::counts) will make, known before any
-    /// enumeration. The number of distinct pairs it returns is at most
+    /// visits [`scored`](Self::scored) will make, known before any
+    /// enumeration. The number of distinct pairs it scores is at most
     /// this.
     pub fn pair_visits(&self) -> u64 {
         self.postings
@@ -114,22 +87,30 @@ impl CooccurrenceCounter {
             .sum()
     }
 
-    /// Computes `|shared features|` for every item pair that co-occurs in
-    /// at least one posting list, as `(u, v, count)` with `u < v`, sorted
-    /// by `(u, v)`. Identical across thread counts.
+    /// Scores every item pair that co-occurs in at least one posting
+    /// list: `score(u, v, shared)` runs once per pair `u < v`, with
+    /// `shared` the number of postings holding both, inside the worker
+    /// that counted the pair. Returns how many pairs were scored and the
+    /// `(u, v, weight)` edges the scorer kept (`Some(weight)`), sorted by
+    /// `(u, v)`. Identical across thread counts.
     ///
     /// # Panics
     ///
     /// Panics with the cancellation reason (via [`CancelToken::bail`])
     /// when `cancel` is or becomes cancelled — a cancellation point, like
     /// every governed inner loop.
-    pub fn counts(&self, cancel: &CancelToken) -> Vec<Cooccurrence> {
+    pub fn scored<F>(&self, cancel: &CancelToken, score: F) -> (u64, Vec<(u32, u32, f64)>)
+    where
+        F: Fn(u32, u32, usize) -> Option<f64> + Sync,
+    {
         let rows = RowIndex::new(&self.postings);
         let ranges = rows.split(&self.postings, self.pair_visits());
         let per_range = par::par_map_cancellable(&ranges, cancel, |&(lo, hi)| {
-            rows.product(&self.postings, lo, hi)
+            rows.product(&self.postings, lo, hi, &score)
         });
-        per_range.concat()
+        let scored = per_range.iter().map(|(n, _)| n).sum();
+        let edges = per_range.into_iter().flat_map(|(_, e)| e).collect();
+        (scored, edges)
     }
 }
 
@@ -224,11 +205,22 @@ impl RowIndex {
         ranges
     }
 
-    /// Rows `lo..hi` of the product, sorted by `(u, v)`.
-    fn product(&self, postings: &[Vec<u32>], lo: usize, hi: usize) -> Vec<Cooccurrence> {
+    /// Rows `lo..hi` of the product, each pair handed to `score` as it
+    /// is counted: the number of pairs scored, and the kept edges sorted
+    /// by `(u, v)`.
+    fn product<F>(
+        &self,
+        postings: &[Vec<u32>],
+        lo: usize,
+        hi: usize,
+        score: &F,
+    ) -> (u64, Vec<(u32, u32, f64)>)
+    where
+        F: Fn(u32, u32, usize) -> Option<f64>,
+    {
         let mut counter = vec![0u32; self.items()];
         let mut touched: Vec<u32> = Vec::new();
-        let mut out = Vec::new();
+        let (mut scored, mut out) = (0u64, Vec::new());
         for u in lo..hi {
             for &(p, pos) in self.row(u) {
                 let tail = postings
@@ -245,15 +237,18 @@ impl RowIndex {
                 }
             }
             touched.sort_unstable();
+            scored += touched.len() as u64;
             for &v in &touched {
                 if let Some(c) = counter.get_mut(v as usize) {
-                    out.push((u as u32, v, *c));
+                    if let Some(w) = score(u as u32, v, *c as usize) {
+                        out.push((u as u32, v, w));
+                    }
                     *c = 0;
                 }
             }
             touched.clear();
         }
-        out
+        (scored, out)
     }
 }
 
@@ -261,8 +256,11 @@ impl RowIndex {
 mod tests {
     use super::*;
 
-    fn counts(c: &CooccurrenceCounter) -> Vec<Cooccurrence> {
-        c.counts(&CancelToken::new())
+    /// Every co-occurring pair, weighted by its shared-posting count.
+    fn counts(c: &CooccurrenceCounter) -> Vec<(u32, u32, f64)> {
+        let (scored, edges) = c.scored(&CancelToken::new(), |_, _, n| Some(n as f64));
+        assert_eq!(scored, edges.len() as u64);
+        edges
     }
 
     #[test]
@@ -275,7 +273,7 @@ mod tests {
         let mut c = CooccurrenceCounter::new();
         c.add_posting([5]);
         c.add_posting([]);
-        assert_eq!(c.posting_count(), 0);
+        assert_eq!(c.pair_visits(), 0);
         assert!(counts(&c).is_empty());
     }
 
@@ -283,7 +281,7 @@ mod tests {
     fn duplicates_within_posting_collapse() {
         let mut c = CooccurrenceCounter::new();
         c.add_posting([1, 1, 2, 2]);
-        assert_eq!(counts(&c), vec![(1, 2, 1)]);
+        assert_eq!(counts(&c), vec![(1, 2, 1.0)]);
     }
 
     #[test]
@@ -292,18 +290,19 @@ mod tests {
         c.add_posting([1, 2]);
         c.add_posting([2, 1]);
         c.add_posting([1, 3]);
-        assert_eq!(counts(&c), vec![(1, 2, 2), (1, 3, 1)]);
+        assert_eq!(counts(&c), vec![(1, 2, 2.0), (1, 3, 1.0)]);
         assert_eq!(c.pair_visits(), 3);
     }
 
     #[test]
-    fn cap_drops_hot_features() {
-        let mut c = CooccurrenceCounter::new().with_max_posting_len(3);
-        c.add_posting(0..10);
-        c.add_posting([1, 2]);
-        assert_eq!(c.skipped_count(), 1);
-        assert_eq!(c.posting_count(), 1);
-        assert_eq!(counts(&c).len(), 1);
+    fn scorer_decides_which_pairs_become_edges() {
+        let mut c = CooccurrenceCounter::new();
+        c.add_posting([1, 2, 3]);
+        c.add_posting([2, 3]);
+        // Every distinct pair is scored once, whatever the scorer keeps.
+        let (scored, edges) = c.scored(&CancelToken::new(), |u, _, _| (u == 1).then_some(0.5));
+        assert_eq!(scored, 3);
+        assert_eq!(edges, vec![(1, 2, 0.5), (1, 3, 0.5)]);
     }
 
     #[test]
@@ -316,10 +315,11 @@ mod tests {
         assert!(c.pair_visits() >= PAR_MIN_VISITS);
         let all = counts(&c);
         assert!(all.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        assert!(all.iter().all(|&(u, v, n)| u < v && n > 0));
+        assert!(all.iter().all(|&(u, v, n)| u < v && n > 0.0));
         let rows = RowIndex::new(&c.postings);
-        let one_range = rows.product(&c.postings, 0, rows.items());
-        assert_eq!(all, one_range);
+        let keep_all = |_: u32, _: u32, n: usize| Some(n as f64);
+        let one_range = rows.product(&c.postings, 0, rows.items(), &keep_all);
+        assert_eq!(one_range, (all.len() as u64, all));
     }
 
     #[test]
@@ -328,7 +328,9 @@ mod tests {
         c.add_posting([1, 2, 3]);
         let token = CancelToken::new();
         token.cancel("governor: test");
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.counts(&token)));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.scored(&token, |_, _, _| Some(1.0))
+        }));
         assert!(caught.is_err());
     }
 }

@@ -46,7 +46,7 @@ pub mod partition;
 pub mod union_find;
 
 pub use components::connected_components;
-pub use cooccurrence::{Cooccurrence, CooccurrenceCounter};
+pub use cooccurrence::CooccurrenceCounter;
 pub use graph::{Graph, GraphBuilder, NodeId};
 pub use louvain::{Louvain, LouvainStats};
 pub use metrics::density;

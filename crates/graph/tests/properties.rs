@@ -171,8 +171,12 @@ fn cooccurrence_counts_match_bruteforce() {
             for p in postings {
                 c.add_posting(p.iter().copied());
             }
-            let fast = c.counts(&CancelToken::new());
-            let slow = bruteforce_counts(postings);
+            // A keep-all scorer returns the product itself.
+            let (scored, fast) = c.scored(&CancelToken::new(), |_, _, n| Some(n as f64));
+            let slow: Vec<(u32, u32, f64)> = bruteforce_counts(postings)
+                .into_iter()
+                .map(|(u, v, n)| (u, v, f64::from(n)))
+                .collect();
             let visits: u64 = postings
                 .iter()
                 .map(|p| {
@@ -183,6 +187,7 @@ fn cooccurrence_counts_match_bruteforce() {
                 })
                 .sum();
             assert_eq!(c.pair_visits(), visits);
+            assert_eq!(scored, slow.len() as u64);
             assert_eq!(fast, slow);
         },
     );
@@ -191,8 +196,10 @@ fn cooccurrence_counts_match_bruteforce() {
 #[test]
 fn cooccurrence_parallel_matches_sequential() {
     // Enough pair visits (≥ 2^16) that the product splits its rows
-    // across workers; the rows must not depend on the split. Each case
-    // is ~10^5 pairs, so fewer cases than the default.
+    // across workers; neither the scored count nor the kept edges may
+    // depend on the split. The scorer keeps a shared-count-dependent
+    // subset, as the dimension builders' thresholds do. Each case is
+    // ~10^5 pairs, so fewer cases than the default.
     cases(16).run(
         |g| g.vec(40..60, |g| g.vec(50..80, |g| g.range(0u32..300))),
         |postings| {
@@ -200,13 +207,22 @@ fn cooccurrence_parallel_matches_sequential() {
             for p in postings {
                 c.add_posting(p.iter().copied());
             }
+            let score = |u: u32, v: u32, n: usize| {
+                (n >= 2 || (u + v).is_multiple_of(7)).then(|| n as f64 / f64::from(u + v + 1))
+            };
             par::set_thread_count(1);
-            let one = c.counts(&CancelToken::new());
+            let one = c.scored(&CancelToken::new(), score);
             par::set_thread_count(3);
-            let three = c.counts(&CancelToken::new());
+            let three = c.scored(&CancelToken::new(), score);
             par::set_thread_count(0);
             assert_eq!(one, three);
-            assert_eq!(one, bruteforce_counts(postings));
+            let slow = bruteforce_counts(postings);
+            assert_eq!(one.0, slow.len() as u64);
+            let kept: Vec<(u32, u32, f64)> = slow
+                .into_iter()
+                .filter_map(|(u, v, n)| Some((u, v, score(u, v, n as usize)?)))
+                .collect();
+            assert_eq!(one.1, kept);
         },
     );
 }

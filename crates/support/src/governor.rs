@@ -13,14 +13,16 @@
 //!    failpoint), so deadline and budget violations stop work mid-stage
 //!    instead of after the stage burned its full wall time;
 //! 2. **charge** — [`StageScope::charge`] / [`release`](StageScope::release)
-//!    account the bytes of the dominant allocations (postings, MinHash
-//!    signature tables, LSH buckets, candidate-pair buffers, graph
-//!    edges) against per-stage soft and hard budgets;
-//! 3. **degrade** — on a soft-budget breach the *caller* walks the
-//!    deterministic ladder (tighten `bucket_cap`, shed the most popular
-//!    postings, finally cancel the stage), recording every rung with
-//!    [`StageScope::record`] so the run's health report shows exactly
-//!    what was traded away.
+//!    account the bytes of the dominant allocations (postings, LSH
+//!    bucket keys and buckets, candidate-pair buffers, graph edges)
+//!    against per-stage soft and hard budgets;
+//! 3. **degrade** — where a charge would cross the soft budget the
+//!    *caller* walks the deterministic four-rung ladder (shed the
+//!    shortest postings, tighten the LSH `bucket_cap`, thin the
+//!    finished graph; the hard budget, enforced here in
+//!    [`StageScope::charge`], cancels the stage), recording every rung
+//!    with [`StageScope::record`] so the run's health report shows
+//!    exactly what was traded away.
 //!
 //! Cancellation is delivered by panicking with a `governor:`-prefixed
 //! message from a poll point; the pipeline's existing panic-isolation
@@ -384,22 +386,17 @@ impl StageScope {
         self.peak.load(Ordering::Relaxed)
     }
 
-    /// Whether the soft budget is currently exceeded — the ladder's
-    /// engage signal. Always `false` without a memory budget.
-    pub fn soft_exceeded(&self) -> bool {
-        self.soft_bytes > 0 && self.tracked_bytes() > self.soft_bytes
-    }
-
-    /// The soft budget in bytes (0 = unlimited).
+    /// The soft budget in bytes (0 = unlimited) — where the ladder
+    /// engages.
     pub fn soft_bytes(&self) -> u64 {
         self.soft_bytes
     }
 
     /// Records one degradation-ladder event (deterministic text: byte
     /// counts and feature ids only, never wall-clock values). At most
-    /// [`MAX_RECORDED_EVENTS`] are kept verbatim per stage — a pressure
-    /// rung that sheds tens of thousands of postings would otherwise
-    /// bloat `RunHealth` with one line each; the overflow is folded
+    /// [`MAX_RECORDED_EVENTS`] are kept verbatim per stage — a stage
+    /// that tightens or thins repeatedly would otherwise bloat
+    /// `RunHealth` with one line each; the overflow is folded
     /// into one deterministic summary line by
     /// [`Governor::stage_summaries`].
     pub fn record(&self, event: String) {
@@ -609,7 +606,7 @@ mod tests {
             s.tick();
             s.charge(1 << 20);
         }
-        assert!(!s.soft_exceeded());
+        assert_eq!(s.soft_bytes(), 0);
         assert!(!s.token().is_cancelled());
         assert_eq!(s.peak_bytes(), 1000 << 20);
     }
@@ -628,12 +625,10 @@ mod tests {
     fn soft_budget_engages_before_hard() {
         let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1000));
         let s = g.stage("dimension/uri-file", 0);
-        s.charge(700);
-        assert!(!s.soft_exceeded());
-        s.charge(200); // 900 > 800 soft, under 1000 hard
-        assert!(s.soft_exceeded());
-        s.release(300);
-        assert!(!s.soft_exceeded());
+        assert_eq!(s.soft_bytes(), 800);
+        s.charge(900); // over the 800 soft budget, under 1000 hard
+        assert!(!s.token().is_cancelled());
+        assert_eq!(s.tracked_bytes(), 900);
     }
 
     #[test]

@@ -772,50 +772,4 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(report.bad_lines(), 0);
     }
-
-    #[test]
-    fn quarantine_spill_retries_transient_write_errors() {
-        let dir = unique_test_dir("quarantine-retry");
-        let sidecar = dir.join("trace.quarantine");
-        let buf = dirty_buffer(97, 3);
-        let opts = IngestOptions::default().with_quarantine(&sidecar);
-        // Two transient failures: the first spill succeeds on attempt 3.
-        smash_support::failpoint::arm(
-            "ingest/quarantine",
-            smash_support::failpoint::Action::ErrorTimes(2),
-        );
-        let res = read_jsonl_lenient(&buf[..], &opts);
-        smash_support::failpoint::disarm("ingest/quarantine");
-        let (_, report) = res.unwrap();
-        assert_eq!(report.quarantined, 3);
-        let spilled = std::fs::read(&sidecar).unwrap();
-        assert_eq!(spilled.iter().filter(|&&b| b == b'\n').count(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quarantine_spill_gives_up_after_bounded_retries() {
-        let dir = unique_test_dir("quarantine-persistent");
-        let sidecar = dir.join("trace.quarantine");
-        let buf = dirty_buffer(97, 3);
-        let opts = IngestOptions::default().with_quarantine(&sidecar);
-        // More consecutive failures than the retry budget: a persistent
-        // error must surface, not loop forever.
-        smash_support::failpoint::arm(
-            "ingest/quarantine",
-            smash_support::failpoint::Action::ErrorTimes(99),
-        );
-        let res = read_jsonl_lenient(&buf[..], &opts);
-        smash_support::failpoint::disarm("ingest/quarantine");
-        assert!(matches!(res, Err(IngestError::Io(_))));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn ingest_failpoint_surfaces_as_error() {
-        smash_support::failpoint::arm("ingest/jsonl", smash_support::failpoint::Action::Error);
-        let res = read_jsonl_lenient(&b"{}\n"[..], &IngestOptions::default());
-        smash_support::failpoint::disarm("ingest/jsonl");
-        assert!(matches!(res, Err(IngestError::Io(_))));
-    }
 }

@@ -1,6 +1,6 @@
 //! Resource-governor suite (DESIGN.md §11).
 //!
-//! Three promises of the governed pipeline:
+//! Four promises of the governed pipeline:
 //!
 //! 1. **No budgets, no change** — `run_governed` without resources is
 //!    byte-identical to the plain run; the governor's accounting alone
@@ -12,6 +12,8 @@
 //! 3. **A governor abort leaves resumable state** — `--resume` from the
 //!    checkpoint directory of an aborted run, with the budget lifted,
 //!    reproduces the unconstrained report exactly.
+//! 4. **A real budget degrades, never cancels** — half a paper-scale
+//!    day's own unconstrained peak completes with every dimension.
 
 use smash::core::{CheckpointOptions, Smash, SmashConfig, SmashReport};
 use smash::support::failpoint;
@@ -186,6 +188,20 @@ fn impossible_memory_budget_cancels_through_the_ladder() {
         report.health.governor
     );
     assert!(metrics.counter("governor/cancelled").get() >= 1);
+    // The aborted report still accounts for the work that ran: the
+    // cancelling charge is in the tracked peak, and the stages that
+    // started keep their timings.
+    assert!(report.perf.peak_tracked_bytes > 0);
+    let stages: Vec<&str> = report
+        .perf
+        .stages
+        .iter()
+        .map(|s| s.stage.as_str())
+        .collect();
+    assert!(
+        stages.contains(&"preprocess") && stages.contains(&"dimension/client"),
+        "aborted report lost its stage times: {stages:?}"
+    );
 }
 
 #[test]
@@ -254,4 +270,54 @@ fn soft_budget_engages_the_ladder_but_still_completes() {
         !report.health.governor.is_empty(),
         "soft breach left no ladder events"
     );
+}
+
+/// A generated Data2011 day under half its own unconstrained peak runs
+/// to the end with every dimension intact: the ladder (posting
+/// shedding, `bucket_cap` tightening, graph thinning) absorbs the
+/// pressure below the hard budget. A co-occurrence product that charged
+/// a buffer of every counted pair in one step would jump URI-file past
+/// the hard budget here with no rung in between.
+#[test]
+fn half_the_unconstrained_peak_cancels_no_dimension() {
+    let _g = locked();
+    failpoint::disarm_all();
+    let data = smash::synth::Scenario::data2011_day(7).generate();
+    let smash = Smash::new(SmashConfig::default());
+    let run = |resources: Option<&GovernorOptions>| {
+        smash.run_governed(
+            &data.dataset,
+            &data.whois,
+            &Registry::new(),
+            None,
+            resources,
+        )
+    };
+    let peak = run(None).perf.peak_tracked_bytes;
+    assert!(peak > 0, "the unconstrained run charged nothing");
+
+    let half = GovernorOptions::unlimited().with_memory_budget_bytes(peak / 2);
+    let report = run(Some(&half));
+    let cancelled: Vec<_> = report
+        .health
+        .dimensions
+        .iter()
+        .filter(|d| {
+            matches!(
+                d.status,
+                smash::core::report::DimensionStatus::Cancelled { .. }
+            )
+        })
+        .collect();
+    assert!(
+        cancelled.is_empty(),
+        "half the peak ({} bytes) cancelled {cancelled:?}; ladder: {:?}",
+        peak / 2,
+        report.health.governor
+    );
+    assert!(
+        !report.health.governor.is_empty(),
+        "half the peak must engage the ladder"
+    );
+    assert!(!report.campaigns.is_empty());
 }
